@@ -11,7 +11,9 @@
 //! The counters are process-global: a measurement taken while other
 //! threads allocate attributes their traffic to the measured region.
 //! `repro bench` runs its workloads serially on the main thread, which
-//! is the only place peak deltas are read.
+//! is the only place peak deltas are read. For the same reason the
+//! meter's own test is the only test in its integration-test binary
+//! (`tests/alloc_meter.rs`), so it runs in a process of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,27 +82,4 @@ pub fn peak_bytes() -> usize {
 /// next [`peak_bytes`] reading covers only what happens after this call.
 pub fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn peak_tracks_a_large_allocation() {
-        reset_peak();
-        let before = peak_bytes();
-        let buf = vec![0u8; 1 << 20];
-        assert!(
-            peak_bytes() >= before + (1 << 20),
-            "1 MiB allocation must raise the peak"
-        );
-        drop(buf);
-        let high = peak_bytes();
-        reset_peak();
-        assert!(
-            peak_bytes() <= high,
-            "reset rebases the peak to the (lower) current level"
-        );
-    }
 }

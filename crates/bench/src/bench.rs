@@ -94,17 +94,15 @@ pub const BENCH_LANES: usize = 8;
 /// One benchmarkable workload: a name plus a closure that runs the
 /// simulation once with a given worker-thread budget and returns the
 /// kernel event count. `threads = 1` is the serial path — the exact
-/// bytes every earlier BENCH generation measured.
+/// bytes every earlier BENCH generation measured. An engine without a
+/// lane decomposition returns `None` for `threads > 1`.
 struct Workload {
     name: &'static str,
     engine: &'static str,
     scale: Scale,
     /// Simulated peers — the denominator of `bytes_per_peer`.
     peers: usize,
-    /// Whether the engine has a lane decomposition; `false` (gnutella,
-    /// whose floods traverse one shared overlay) skips threaded rows.
-    lanes: bool,
-    run: Box<dyn Fn(usize) -> u64>,
+    run: Box<dyn Fn(usize) -> Option<u64>>,
 }
 
 /// The workload matrix. Quick rows come first so `--quick` (used by the
@@ -123,15 +121,13 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
             engine: "guess",
             scale,
             peers: base_config(scale, BENCH_SEED).system.network_size,
-            lanes: true,
             run: Box::new(move |threads| {
                 let mut cfg = base_config(scale, BENCH_SEED);
                 if threads > 1 {
                     cfg.run.lanes = BENCH_LANES;
                 }
-                guess::run_lanes(cfg, threads)
-                    .expect("bench config validates")
-                    .events_processed
+                let report = guess::run_lanes(cfg, threads).expect("bench config validates");
+                Some(report.events_processed)
             }),
         });
         list.push(Workload {
@@ -142,13 +138,13 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
             engine: "gnutella",
             scale,
             peers: gnutella::dynamic::GnutellaConfig::default().network_size,
-            lanes: false,
-            run: Box::new(move |_threads| {
+            // Floods traverse one shared overlay: no lane decomposition.
+            run: Box::new(move |threads| {
                 let cfg = gnutella::dynamic::GnutellaConfig::default()
                     .with_duration(scale.duration())
                     .with_warmup(scale.warmup())
                     .with_seed(BENCH_SEED);
-                events_of(cfg.build().expect("bench config validates"))
+                (threads == 1).then(|| events_of(cfg.build().expect("bench config validates")))
             }),
         });
         list.push(Workload {
@@ -159,7 +155,6 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
             engine: "gossip",
             scale,
             peers: gossip::Config::default().network_size,
-            lanes: true,
             run: Box::new(move |threads| {
                 let mut cfg = gossip::Config::default()
                     .with_seed(BENCH_SEED)
@@ -168,9 +163,8 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
                 if threads > 1 {
                     cfg = cfg.with_lanes(BENCH_LANES);
                 }
-                gossip::run_lanes(cfg, threads)
-                    .expect("bench config validates")
-                    .events_processed
+                let report = gossip::run_lanes(cfg, threads).expect("bench config validates");
+                Some(report.events_processed)
             }),
         });
     }
@@ -185,15 +179,16 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
             engine: "guess",
             scale: Scale::Full,
             peers: MILLION,
-            lanes: true,
             run: Box::new(|threads| {
                 let mut cfg = million_peer_config();
                 if threads > 1 {
                     cfg.run.lanes = BENCH_LANES;
                 }
-                guess::run_lanes(cfg, threads)
-                    .expect("valid config")
-                    .events_processed
+                Some(
+                    guess::run_lanes(cfg, threads)
+                        .expect("valid config")
+                        .events_processed,
+                )
             }),
         });
     }
@@ -272,15 +267,8 @@ pub fn run_workloads(
         if !only.is_empty() && !only.iter().any(|n| n == w.name) {
             continue;
         }
-        for &t in threads {
+        'threads: for &t in threads {
             let t = t.max(1);
-            if t > 1 && !w.lanes {
-                println!(
-                    "  {:<16} skipped at {t} threads (no lane decomposition)",
-                    w.name
-                );
-                continue;
-            }
             let name = if t == 1 {
                 w.name.to_string()
             } else {
@@ -299,7 +287,13 @@ pub fn run_workloads(
                     crate::alloc_meter::reset_peak();
                 }
                 let started = Instant::now();
-                let got = (w.run)(t);
+                let Some(got) = (w.run)(t) else {
+                    println!(
+                        "  {:<16} skipped at {t} threads (no lane decomposition)",
+                        w.name
+                    );
+                    continue 'threads;
+                };
                 walls.push(started.elapsed().as_secs_f64());
                 if i == 0 {
                     events = got;

@@ -2,8 +2,8 @@
 //!
 //! Two contracts protect the goldens and the thread-scaling bench:
 //!
-//! 1. `lanes = 1` routes every engine's `run_lanes` to the ordinary
-//!    serial run — byte-identical reports, so the 30 quick goldens and
+//! 1. `lanes = 1` routes the GUESS and gossip `run_lanes` to the
+//!    ordinary serial run — byte-identical reports, so the 30 quick goldens and
 //!    7 scenario goldens are unchanged by construction.
 //! 2. With `lanes > 1`, the report is a pure function of
 //!    `(seed, lanes)`: any worker-thread count produces the same
@@ -36,20 +36,6 @@ fn gossip_lanes_one_is_byte_identical_to_serial() {
         let serial = cfg.clone().build().expect("valid config").run();
         let laned = gossip::run_lanes(cfg, 4).expect("valid config");
         assert_eq!(serial, laned, "gossip seed {seed}");
-    }
-}
-
-#[test]
-fn gnutella_run_lanes_is_the_serial_engine() {
-    for seed in SEEDS {
-        let cfg = gnutella::GnutellaConfig::default()
-            .with_network_size(150)
-            .with_duration(simkit::time::SimDuration::from_secs(200.0))
-            .with_warmup(simkit::time::SimDuration::from_secs(50.0))
-            .with_seed(seed);
-        let serial = cfg.clone().build().expect("valid config").run();
-        let laned = gnutella::run_lanes(cfg, 4).expect("valid config");
-        assert_eq!(serial, laned, "gnutella seed {seed}");
     }
 }
 

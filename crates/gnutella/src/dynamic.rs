@@ -21,14 +21,14 @@
 //! so the two mechanisms face identical workloads.
 
 use simkit::rng::RngStream;
-use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
+use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
-use workload::content::{Catalog, CatalogParams, LibraryArena, LibraryHandle};
-use workload::files::FileCountModel;
+use workload::content::{Catalog, CatalogParams};
 use workload::lifetime::LifetimeModel;
-use workload::query::{QueryModel, QueryWorkload};
+use workload::peers::{PeerEvent, PeerTable};
+use workload::query::QueryWorkload;
 
 use crate::wavefront::VisitTable;
 
@@ -38,26 +38,6 @@ mod types;
 
 use flood::FloodState;
 pub use types::{GnutellaConfig, GnutellaReport, InvalidGnutellaConfig};
-
-/// Lane-partitioned entry point, mirroring `guess::run_lanes` and
-/// `gossip::run_lanes` so the bench harness can drive all three engines
-/// through one surface.
-///
-/// Gnutella floods traverse a *shared* overlay graph — a single hop may
-/// touch any slot, and repair rewires edges between arbitrary slots —
-/// so no lane decomposition offers useful lookahead. This validates the
-/// config and runs the serial engine regardless of `threads`; callers
-/// get the exact serial bytes.
-///
-/// # Errors
-///
-/// Returns [`InvalidGnutellaConfig`] for inconsistent parameters.
-pub fn run_lanes(
-    cfg: GnutellaConfig,
-    _threads: usize,
-) -> Result<GnutellaReport, InvalidGnutellaConfig> {
-    Ok(GnutellaSim::new(cfg)?.run())
-}
 
 /// The runtime side of the config/state split: the knobs a
 /// [`simkit::scenario::Scenario`] may legally flip mid-run. Initialized
@@ -111,12 +91,13 @@ pub enum Event {
     },
 }
 
-struct Node {
-    incarnation: u64,
-    /// Handle into the engine's [`LibraryArena`]; freed and rebuilt at
-    /// every in-place rebirth, so churn recycles blocks instead of
-    /// leaking dead `Vec`s.
-    library: LibraryHandle,
+impl From<PeerEvent> for Event {
+    fn from(ev: PeerEvent) -> Self {
+        match ev {
+            PeerEvent::Burst { slot, incarnation } => Event::Burst { slot, incarnation },
+            PeerEvent::Death { slot, incarnation } => Event::Death { slot, incarnation },
+        }
+    }
 }
 
 /// The dynamic Gnutella simulator.
@@ -134,17 +115,11 @@ struct Node {
 pub struct GnutellaSim {
     cfg: GnutellaConfig,
     rt: Runtime,
-    nodes: Vec<Node>,
-    /// Every node's library items, shared contiguous storage.
-    libs: LibraryArena,
+    peers: PeerTable,
     /// Slot-indexed adjacency: `adj[u]` lists `u`'s open connections.
-    /// Kept dense and separate from [`Node`] so a flood hop can borrow
-    /// the whole overlay as neighbor slices without touching peer state.
+    /// Kept dense and separate from the peer table so a flood hop can
+    /// borrow the whole overlay as neighbor slices.
     adj: Vec<Vec<u32>>,
-    qmodel: QueryModel,
-    files: FileCountModel,
-    churn: ChurnDriver<LifetimeModel>,
-    workload: QueryWorkload,
     rng: RngStream,
     floods: Vec<FloodState>,
     free_floods: Vec<u32>,
@@ -157,7 +132,6 @@ pub struct GnutellaSim {
     messages: Summary,
     peers_reached: Summary,
     counters: CounterSet,
-    next_incarnation: u64,
     next_query: u64,
 }
 
@@ -170,8 +144,6 @@ impl GnutellaSim {
     pub fn new(cfg: GnutellaConfig) -> Result<Self, InvalidGnutellaConfig> {
         cfg.validate()?;
         let catalog = Catalog::new(cfg.catalog).map_err(|_| InvalidGnutellaConfig::BadCatalog)?;
-        let qmodel = QueryModel::new(catalog);
-        let files = FileCountModel::gnutella_like();
         let lifetimes = LifetimeModel::saroiu_like(cfg.lifespan_multiplier);
         let workload = QueryWorkload::with_rate(cfg.query_rate)
             .map_err(|_| InvalidGnutellaConfig::BadQueryRate)?;
@@ -181,13 +153,8 @@ impl GnutellaSim {
             rng: RngStream::from_seed(cfg.seed, "gnutella"),
             cfg,
             rt,
-            nodes: Vec::new(),
-            libs: LibraryArena::new(),
+            peers: PeerTable::new(catalog, lifetimes, workload),
             adj: vec![Vec::new(); n],
-            qmodel,
-            files,
-            churn: ChurnDriver::new(lifetimes),
-            workload,
             floods: Vec::new(),
             free_floods: Vec::new(),
             settle_queue: std::collections::VecDeque::new(),
@@ -197,34 +164,19 @@ impl GnutellaSim {
             messages: Summary::new(),
             peers_reached: Summary::new(),
             counters: CounterSet::new(),
-            next_incarnation: 0,
             next_query: 0,
         };
         sim.populate();
         Ok(sim)
     }
 
-    fn fresh_library(&mut self) -> LibraryHandle {
-        let count = self.files.sample_file_count(&mut self.rng);
-        self.qmodel
-            .catalog()
-            .build_library_in(count, &mut self.rng, &mut self.libs)
-    }
-
     /// Creates the initial population and wires the overlay. Event
     /// scheduling happens in [`GnutellaSim::schedule_initial`], once the
-    /// kernel exists; the RNG draw order across both phases is unchanged,
-    /// so runs stay byte-identical.
+    /// kernel exists.
     fn populate(&mut self) {
         let n = self.cfg.network_size;
         for _ in 0..n {
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
+            self.peers.birth(&mut self.rng);
         }
         // Initial wiring: every peer opens target_degree connections.
         for slot in 0..n {
@@ -233,29 +185,10 @@ impl GnutellaSim {
     }
 
     /// Schedules every initial peer's death and burst into the kernel's
-    /// queue. The lifetime draw happens inside [`ChurnDriver::spawn`],
-    /// at the same position in the stream it always occupied.
+    /// queue.
     fn schedule_initial<T: TraceSink>(&mut self, ctx: &mut SimCtx<'_, Event, T>) {
-        for slot in 0..self.nodes.len() {
-            let incarnation = self.nodes[slot].incarnation;
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                SimTime::ZERO,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                SimTime::ZERO + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
+        for slot in 0..self.peers.len() {
+            self.peers.schedule(slot, SimTime::ZERO, ctx, &mut self.rng);
         }
     }
 
@@ -264,7 +197,7 @@ impl GnutellaSim {
     /// active partition, handshakes to the other side fail — the
     /// candidate is burned but no connection opens.
     fn top_up_connections(&mut self, slot: usize) {
-        let n = self.nodes.len();
+        let n = self.peers.len();
         let mut guard = 0;
         while self.adj[slot].len() < self.rt.target_degree && guard < 20 * n {
             guard += 1;
@@ -290,10 +223,9 @@ impl GnutellaSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.peers.is_current(slot, incarnation) {
             return;
         }
-        self.churn.died(ctx, now, incarnation);
         self.counters.incr("deaths");
         // The departing peer's connections drop; every ex-neighbor
         // notices (open TCP connections fail fast) and repairs.
@@ -302,34 +234,13 @@ impl GnutellaSim {
             self.adj[nb as usize].retain(|&x| x != slot as u32);
         }
         // Rebirth in place, as in the GUESS simulator: constant population.
-        self.nodes[slot].incarnation = self.next_incarnation;
-        self.next_incarnation += 1;
-        self.libs.free(self.nodes[slot].library);
-        self.nodes[slot].library = self.fresh_library();
+        self.peers.rebirth(slot, now, ctx, &mut self.rng);
         self.top_up_connections(slot);
         for nb in ex_neighbors {
             self.counters.incr("repairs");
             self.top_up_connections(nb as usize);
         }
-        let new_inc = self.nodes[slot].incarnation;
-        self.churn.spawn(
-            ctx,
-            &mut self.rng,
-            now,
-            new_inc,
-            Event::Death {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
+        self.peers.schedule(slot, now, ctx, &mut self.rng);
     }
 
     fn on_burst<T: TraceSink>(
@@ -339,21 +250,14 @@ impl GnutellaSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.peers.is_current(slot, incarnation) {
             return;
         }
-        let burst = self.workload.sample_burst_size(&mut self.rng);
-        for _ in 0..burst {
+        for _ in 0..self.peers.burst_size(&mut self.rng) {
             self.flood_query(slot, now, ctx);
         }
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation,
-            },
-        );
+        self.peers
+            .schedule_burst(slot, incarnation, now, ctx, &mut self.rng);
     }
 }
 
@@ -375,18 +279,17 @@ impl<T: TraceSink> Simulation<T> for GnutellaSim {
     fn live_peers(&self) -> u64 {
         // Rebirth is in place and immediate, so every slot always holds
         // a live peer — the constant-population invariant.
-        self.nodes.len() as u64
+        self.peers.len() as u64
     }
 }
 
-impl GnutellaSim {
-    /// The one driver both run surfaces share: `scenario: None` is the
-    /// plain run, `Some` routes through [`Kernel::run_scenario`]. The
-    /// two paths are byte-identical for an empty timeline.
-    fn run_inner<T: TraceSink>(
+impl Runnable for GnutellaSim {
+    type Report = GnutellaReport;
+
+    fn run_scenario_traced<T: TraceSink>(
         mut self,
+        scenario: &simkit::scenario::Scenario,
         sink: T,
-        scenario: Option<&simkit::scenario::Scenario>,
     ) -> Result<(GnutellaReport, T), simkit::scenario::ScenarioError> {
         let mut params = KernelParams::new(self.cfg.duration).with_warmup(self.cfg.warmup);
         if let Some(interval) = self.cfg.sample_interval {
@@ -394,10 +297,7 @@ impl GnutellaSim {
         }
         let mut kernel = Kernel::new(params, sink);
         self.schedule_initial(&mut kernel.ctx());
-        match scenario {
-            None => kernel.run(&mut self),
-            Some(s) => kernel.run_scenario(&mut self, s)?,
-        }
+        kernel.run_scenario(&mut self, scenario)?;
         let report = GnutellaReport {
             queries: self.queries,
             unsatisfied: self.unsatisfied,
@@ -407,23 +307,6 @@ impl GnutellaSim {
             events_processed: kernel.events_processed(),
         };
         Ok((report, kernel.into_sink()))
-    }
-}
-
-impl Runnable for GnutellaSim {
-    type Report = GnutellaReport;
-
-    fn run_traced<T: TraceSink>(self, sink: T) -> (GnutellaReport, T) {
-        self.run_inner(sink, None)
-            .expect("runs without a scenario cannot fail")
-    }
-
-    fn run_scenario_traced<T: TraceSink>(
-        self,
-        scenario: &simkit::scenario::Scenario,
-        sink: T,
-    ) -> Result<(GnutellaReport, T), simkit::scenario::ScenarioError> {
-        self.run_inner(sink, Some(scenario))
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Split out like `flood`; this is still the same `GnutellaSim`. Every
 //! intervention routes through the engine's existing machinery — joins
-//! through the populate/top-up path, leaves through `on_death`, flash
-//! crowds through `flood_query`, parameter flips through
-//! [`GnutellaConfig::validate`] — and mutates only the
+//! through the peer table's birth step plus top-up wiring, leaves
+//! through `on_death`, flash crowds through `flood_query`, parameter
+//! flips through [`GnutellaConfig::validate`] — and mutates only the
 //! [`super::Runtime`] side of the config/state split. `self.cfg` is
 //! never written after `GnutellaSim::new`.
 
@@ -13,79 +13,6 @@ use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
 use super::*;
 
 impl GnutellaSim {
-    /// Grows the overlay by `count` newborn peers: fresh library, fresh
-    /// incarnation, top-up wiring, scheduled death and burst — the same
-    /// path a rebirth takes, minus the departure.
-    fn mass_join<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = self.nodes.len();
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
-            self.adj.push(Vec::new());
-            self.top_up_connections(slot);
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                now,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                now + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-        }
-    }
-
-    /// Kills `count` uniformly chosen peers through the normal death
-    /// path (in-place rebirth included: the population stays constant
-    /// and the wave's damage is the mass re-wiring).
-    fn mass_leave<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = self.rng.below(self.nodes.len());
-            let incarnation = self.nodes[slot].incarnation;
-            // The victim's originally scheduled death event becomes
-            // stale and is ignored by the incarnation guard.
-            self.on_death(slot, incarnation, now, ctx);
-        }
-    }
-
-    /// Injects `queries` extra floods immediately, from uniformly
-    /// chosen sources, through the normal flood path.
-    fn flash_crowd<T: TraceSink>(
-        &mut self,
-        queries: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..queries {
-            let src = self.rng.below(self.nodes.len());
-            self.flood_query(src, now, ctx);
-        }
-    }
-
     /// Applies a parameter flip: overlays the current runtime values
     /// plus the flip onto a copy of the immutable config, re-validates
     /// through [`GnutellaConfig::validate`], and only then installs the
@@ -110,7 +37,8 @@ impl GnutellaSim {
             .validate()
             .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
         if probe.query_rate != self.rt.query_rate {
-            self.workload = QueryWorkload::with_rate(probe.query_rate)
+            self.peers
+                .set_query_rate(probe.query_rate)
                 .map_err(|_| ScenarioError::InvalidParam("bad query rate".into()))?;
         }
         self.rt.query_rate = probe.query_rate;
@@ -129,16 +57,33 @@ impl<T: TraceSink> Intervenable<T> for GnutellaSim {
     ) -> Result<(), ScenarioError> {
         self.counters.incr("interventions");
         match *action {
-            Intervention::MassJoin { count } => self.mass_join(count, now, ctx),
-            Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
-            Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
-            Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
+            // Newborns take the rebirth path minus the departure:
+            // library, top-up wiring, then death and burst.
+            Intervention::MassJoin { count } => {
+                for _ in 0..count {
+                    let slot = self.peers.birth(&mut self.rng);
+                    self.adj.push(Vec::new());
+                    self.top_up_connections(slot);
+                    self.peers.schedule(slot, now, ctx, &mut self.rng);
                 }
-                self.rt.partition = Some(groups);
             }
+            // Victims die through the normal death path, rebirth
+            // included: the wave's damage is the mass re-wiring. Their
+            // originally scheduled deaths go stale.
+            Intervention::MassLeave { count } => {
+                for _ in 0..count {
+                    let slot = self.peers.pick(&mut self.rng);
+                    self.on_death(slot, self.peers.incarnation(slot), now, ctx);
+                }
+            }
+            Intervention::FlashCrowd { queries } => {
+                for _ in 0..queries {
+                    let src = self.peers.pick(&mut self.rng);
+                    self.flood_query(src, now, ctx);
+                }
+            }
+            Intervention::ParamFlip(ref param) => self.param_flip(param)?,
+            Intervention::Partition { groups } => self.rt.partition = Some(groups),
             Intervention::Heal => self.rt.partition = None,
         }
         Ok(())

@@ -1,4 +1,5 @@
-//! TTL-scoped flooding — the Gnutella query primitive.
+//! TTL-scoped flooding — the Gnutella query primitive, and the reference
+//! oracle for the per-hop wavefront engine in [`crate::wavefront`].
 //!
 //! A query floods outward from its source: every peer within `ttl` hops
 //! receives it exactly once (duplicate suppression by message id), but the

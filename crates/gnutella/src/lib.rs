@@ -8,9 +8,15 @@
 //! * **iterative deepening** — coarse-grained flexible extent: re-flood
 //!   with growing TTLs until satisfied ([`iterative`]).
 //!
-//! Both run over explicit overlay [`topology`] graphs with true flooding
-//! semantics ([`flood()`][flood::flood]), against the same content [`population`] the
-//! GUESS simulator uses, so the comparison isolates the search mechanism.
+//! Both run over explicit overlay [`topology`] graphs against the same
+//! content [`population`] the GUESS simulator uses, so the comparison
+//! isolates the search mechanism.
+//!
+//! The churn-aware overlay simulator ([`dynamic`]) executes floods as
+//! per-hop [`wavefront`] events. [`flood()`][flood::flood] is the plain
+//! breadth-first flood over a static topology; it is kept as the
+//! reference the wavefront engine is checked against (see
+//! `tests/properties.rs`).
 //!
 //! # Example
 //!
@@ -39,7 +45,7 @@ pub mod population;
 pub mod topology;
 pub mod wavefront;
 
-pub use dynamic::{run_lanes, GnutellaConfig, GnutellaReport, GnutellaSim};
+pub use dynamic::{GnutellaConfig, GnutellaReport, GnutellaSim};
 pub use fixed::FixedExtentCurve;
 pub use flood::{flood, FloodOutcome};
 pub use fragmentation::{attack, AttackOutcome, AttackStrategy};

@@ -17,14 +17,14 @@
 
 use simkit::hash::{self, FxHashMap};
 use simkit::rng::RngStream;
-use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
+use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::SimTime;
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
-use workload::content::{Catalog, LibraryArena, LibraryHandle};
-use workload::files::FileCountModel;
+use workload::content::Catalog;
 use workload::lifetime::LifetimeModel;
-use workload::query::{QueryModel, QueryTarget, QueryWorkload};
+use workload::peers::{PeerEvent, PeerTable};
+use workload::query::{QueryTarget, QueryWorkload};
 
 use crate::config::{Config, GossipConfigError};
 use crate::report::GossipReport;
@@ -59,12 +59,13 @@ pub enum Event {
     RemoteHit { query: u64 },
 }
 
-struct Node {
-    incarnation: u64,
-    /// Handle into the engine's [`LibraryArena`]; freed and rebuilt at
-    /// every in-place rebirth, so churn recycles blocks instead of
-    /// leaking dead `Vec`s.
-    library: LibraryHandle,
+impl From<PeerEvent> for Event {
+    fn from(ev: PeerEvent) -> Self {
+        match ev {
+            PeerEvent::Burst { slot, incarnation } => Event::Burst { slot, incarnation },
+            PeerEvent::Death { slot, incarnation } => Event::Death { slot, incarnation },
+        }
+    }
 }
 
 /// "This slot never heard the rumor" sentinel in [`Rumor::infected`].
@@ -176,13 +177,7 @@ impl LaneEnv {
 pub struct GossipSim {
     cfg: Config,
     rt: Runtime,
-    nodes: Vec<Node>,
-    /// Every node's library items, shared contiguous storage.
-    libs: LibraryArena,
-    qmodel: QueryModel,
-    files: FileCountModel,
-    churn: ChurnDriver<LifetimeModel>,
-    workload: QueryWorkload,
+    peers: PeerTable,
     rng: RngStream,
     rumors: FxHashMap<u64, Rumor>,
     queries: u64,
@@ -191,7 +186,6 @@ pub struct GossipSim {
     peers_reached: Summary,
     response_time: Summary,
     counters: CounterSet,
-    next_incarnation: u64,
     next_query: u64,
     /// Round-scoped dedup stamps for `next_active` (one entry per slot),
     /// replacing a linear `Vec::contains` scan per push.
@@ -215,8 +209,6 @@ impl GossipSim {
     pub fn new(cfg: Config) -> Result<Self, GossipConfigError> {
         cfg.validate()?;
         let catalog = Catalog::new(cfg.catalog).map_err(|_| GossipConfigError::BadCatalog)?;
-        let qmodel = QueryModel::new(catalog);
-        let files = FileCountModel::gnutella_like();
         let lifetimes = LifetimeModel::saroiu_like(cfg.lifespan_multiplier);
         let workload = QueryWorkload::with_rate(cfg.query_rate)
             .map_err(|_| GossipConfigError::BadQueryRate)?;
@@ -230,12 +222,7 @@ impl GossipSim {
             rng: RngStream::from_seed(cfg.seed, "gossip"),
             rt: Runtime::from_config(&cfg),
             cfg,
-            nodes: Vec::new(),
-            libs: LibraryArena::new(),
-            qmodel,
-            files,
-            churn: ChurnDriver::new(lifetimes),
-            workload,
+            peers: PeerTable::new(catalog, lifetimes, workload),
             rumors: hash::map_with_capacity(inflight.clamp(16, 4096)),
             queries: 0,
             unsatisfied: 0,
@@ -243,7 +230,6 @@ impl GossipSim {
             peers_reached: Summary::new(),
             response_time: Summary::new(),
             counters: CounterSet::new(),
-            next_incarnation: 0,
             next_query: 0,
             active_stamp: vec![0; network_size],
             active_token: 0,
@@ -254,54 +240,28 @@ impl GossipSim {
         Ok(sim)
     }
 
-    fn fresh_library(&mut self) -> LibraryHandle {
-        let count = self.files.sample_file_count(&mut self.rng);
-        self.qmodel
-            .catalog()
-            .build_library_in(count, &mut self.rng, &mut self.libs)
-    }
-
     /// Creates the initial population. Event scheduling happens in
-    /// [`GossipSim::schedule_initial`], once the kernel exists; the RNG
-    /// draw order across both phases is fixed, so runs stay
-    /// byte-identical.
+    /// [`GossipSim::schedule_initial`], once the kernel exists.
     fn populate(&mut self) {
         for _ in 0..self.cfg.network_size {
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
+            self.peers.birth(&mut self.rng);
         }
     }
 
     /// Schedules every initial peer's death and burst into the kernel's
     /// queue.
     fn schedule_initial<T: TraceSink>(&mut self, ctx: &mut SimCtx<'_, Event, T>) {
-        for slot in 0..self.nodes.len() {
-            let incarnation = self.nodes[slot].incarnation;
-            self.counters.incr("births");
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                SimTime::ZERO,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                SimTime::ZERO + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
+        for slot in 0..self.peers.len() {
+            self.spawn(slot, SimTime::ZERO, ctx);
         }
+    }
+
+    /// Counts a birth and schedules the newborn's death and first
+    /// burst: the step every initial peer, rebirth and mass-join
+    /// newcomer takes.
+    fn spawn<T: TraceSink>(&mut self, slot: usize, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        self.counters.incr("births");
+        self.peers.schedule(slot, now, ctx, &mut self.rng);
     }
 
     fn on_death<T: TraceSink>(
@@ -311,39 +271,16 @@ impl GossipSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.peers.is_current(slot, incarnation) {
             return;
         }
-        self.churn.died(ctx, now, incarnation);
         self.counters.incr("deaths");
         // Rebirth in place, as in the GUESS and Gnutella simulators:
         // constant population. Rumor knowledge is *not* carried over —
         // infected maps hold the old incarnation, which no longer
         // matches.
-        self.nodes[slot].incarnation = self.next_incarnation;
-        self.next_incarnation += 1;
-        self.libs.free(self.nodes[slot].library);
-        self.nodes[slot].library = self.fresh_library();
-        let new_inc = self.nodes[slot].incarnation;
-        self.counters.incr("births");
-        self.churn.spawn(
-            ctx,
-            &mut self.rng,
-            now,
-            new_inc,
-            Event::Death {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
+        self.peers.rebirth(slot, now, ctx, &mut self.rng);
+        self.spawn(slot, now, ctx);
     }
 
     fn on_burst<T: TraceSink>(
@@ -353,21 +290,14 @@ impl GossipSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.peers.is_current(slot, incarnation) {
             return;
         }
-        let burst = self.workload.sample_burst_size(&mut self.rng);
-        for _ in 0..burst {
+        for _ in 0..self.peers.burst_size(&mut self.rng) {
             self.start_query(slot, now, ctx);
         }
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation,
-            },
-        );
+        self.peers
+            .schedule_burst(slot, incarnation, now, ctx, &mut self.rng);
     }
 
     /// Starts one rumor at `src` and schedules its first round. The
@@ -386,13 +316,13 @@ impl GossipSim {
                 now,
                 TraceRecord::QueryStart {
                     query: qid,
-                    origin: self.nodes[src].incarnation,
+                    origin: self.peers.incarnation(src),
                 },
             );
         }
-        let target = self.qmodel.sample_target(&mut self.rng);
-        let mut infected = vec![NEVER_HEARD; self.nodes.len()];
-        infected[src] = self.nodes[src].incarnation;
+        let target = self.peers.sample_target(&mut self.rng);
+        let mut infected = vec![NEVER_HEARD; self.peers.len()];
+        infected[src] = self.peers.incarnation(src);
         let rumor = Rumor {
             target,
             started: now,
@@ -415,7 +345,7 @@ impl GossipSim {
             return;
         };
         self.counters.incr("rounds");
-        let n = self.nodes.len();
+        let n = self.peers.len();
         // A mass join may have grown the population since this rumor
         // started; newcomers have never heard it.
         if rumor.infected.len() < n {
@@ -432,7 +362,7 @@ impl GossipSim {
             let s = s as usize;
             // A spreader that died (and was replaced) since it was
             // activated takes its rumor knowledge to the grave.
-            let still_informed = rumor.infected[s] == self.nodes[s].incarnation;
+            let still_informed = self.peers.is_current(s, rumor.infected[s]);
             if !still_informed {
                 self.counters.incr("spreaders_lost");
                 continue;
@@ -491,7 +421,7 @@ impl GossipSim {
                                 now,
                                 TraceRecord::Probe {
                                     query: qid,
-                                    target: self.nodes[t].incarnation,
+                                    target: self.peers.incarnation(t),
                                     kind: ProbeKind::Push,
                                     outcome: ProbeOutcome::Refused,
                                 },
@@ -500,7 +430,7 @@ impl GossipSim {
                         continue;
                     }
                 }
-                let t_inc = self.nodes[t].incarnation;
+                let t_inc = self.peers.incarnation(t);
                 let known = rumor.infected[t];
                 if known == t_inc {
                     // Duplicate: suppressed, but the receiver may pull
@@ -550,10 +480,7 @@ impl GossipSim {
                         self.active_stamp[t] = token;
                         next_active.push(t as u32);
                     }
-                    if self
-                        .qmodel
-                        .answers_in(&self.libs, self.nodes[t].library, rumor.target)
-                    {
+                    if self.peers.answers(t, rumor.target) {
                         rumor.results += 1;
                     }
                     if ctx.tracing() {
@@ -657,22 +584,20 @@ impl<T: TraceSink> Simulation<T> for GossipSim {
     fn live_peers(&self) -> u64 {
         // Rebirth is in place and immediate, so every slot always holds
         // a live peer — the constant-population invariant.
-        self.nodes.len() as u64
+        self.peers.len() as u64
     }
 }
 
-impl GossipSim {
-    /// The one driver both run surfaces share: `scenario: None` is the
-    /// plain run, `Some` routes through [`Kernel::run_scenario`]. The
-    /// two paths are byte-identical for an empty timeline.
-    ///
+impl Runnable for GossipSim {
+    type Report = GossipReport;
+
     /// Rumors still in flight at the horizon are settled (and their
     /// `QueryEnd` records emitted) at the end instant, so a trace always
     /// contains exactly one `query_end` per `query_start`.
-    fn run_inner<T: TraceSink>(
+    fn run_scenario_traced<T: TraceSink>(
         mut self,
+        scenario: &simkit::scenario::Scenario,
         sink: T,
-        scenario: Option<&simkit::scenario::Scenario>,
     ) -> Result<(GossipReport, T), simkit::scenario::ScenarioError> {
         let mut params = KernelParams::new(self.cfg.duration).with_warmup(self.cfg.warmup);
         if let Some(interval) = self.cfg.sample_interval {
@@ -680,10 +605,7 @@ impl GossipSim {
         }
         let mut kernel = Kernel::new(params, sink);
         self.schedule_initial(&mut kernel.ctx());
-        match scenario {
-            None => kernel.run(&mut self),
-            Some(s) => kernel.run_scenario(&mut self, s)?,
-        }
+        kernel.run_scenario(&mut self, scenario)?;
         let events_processed = kernel.events_processed();
         let mut sink = kernel.into_sink();
         // Flush in-flight rumors at the horizon, in query order.
@@ -716,23 +638,6 @@ impl GossipSim {
             events_processed,
         };
         Ok((report, sink))
-    }
-}
-
-impl Runnable for GossipSim {
-    type Report = GossipReport;
-
-    fn run_traced<T: TraceSink>(self, sink: T) -> (GossipReport, T) {
-        self.run_inner(sink, None)
-            .expect("runs without a scenario cannot fail")
-    }
-
-    fn run_scenario_traced<T: TraceSink>(
-        self,
-        scenario: &simkit::scenario::Scenario,
-        sink: T,
-    ) -> Result<(GossipReport, T), simkit::scenario::ScenarioError> {
-        self.run_inner(sink, Some(scenario))
     }
 }
 

@@ -51,8 +51,7 @@ impl GossipLane {
     ) {
         let sim = &mut self.sim;
         sim.counters.incr("remote_pushes_received");
-        let library = sim.nodes[slot as usize].library;
-        if sim.qmodel.answers_in(&sim.libs, library, target) {
+        if sim.peers.answers(slot as usize, target) {
             lctx.send(
                 src_lane,
                 now + sim.cfg.round_interval,

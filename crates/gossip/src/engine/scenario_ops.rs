@@ -2,7 +2,8 @@
 //!
 //! Split out like the guess and gnutella counterparts; this is still
 //! the same `GossipSim`. Every intervention routes through the engine's
-//! existing machinery — joins through the populate/spawn path, leaves
+//! existing machinery — joins through the peer table's birth step and
+//! `spawn`, leaves
 //! through `on_death`, flash crowds through `start_query`, parameter
 //! flips through [`Config::validate`] — and mutates only the
 //! [`super::Runtime`] side of the config/state split. `self.cfg` is
@@ -13,81 +14,6 @@ use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
 use super::*;
 
 impl GossipSim {
-    /// Grows the population by `count` newborn slots: fresh library,
-    /// fresh incarnation, scheduled death and burst — the same path the
-    /// initial population takes. In-flight rumors learn about the
-    /// newcomers lazily (their infected vectors grow at the next
-    /// round), so newcomers are immediately gossipable targets.
-    fn mass_join<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = self.nodes.len();
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
-            self.active_stamp.push(0);
-            self.counters.incr("births");
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                now,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                now + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-        }
-    }
-
-    /// Kills `count` uniformly chosen peers through the normal death
-    /// path (in-place rebirth included: the population stays constant
-    /// and the wave's damage is the mass loss of rumor knowledge).
-    fn mass_leave<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = self.rng.below(self.nodes.len());
-            let incarnation = self.nodes[slot].incarnation;
-            // The victim's originally scheduled death event becomes
-            // stale and is ignored by the incarnation guard.
-            self.on_death(slot, incarnation, now, ctx);
-        }
-    }
-
-    /// Starts `queries` extra rumors immediately, from uniformly chosen
-    /// sources, through the normal query path.
-    fn flash_crowd<T: TraceSink>(
-        &mut self,
-        queries: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..queries {
-            let src = self.rng.below(self.nodes.len());
-            self.start_query(src, now, ctx);
-        }
-    }
-
     /// Applies a parameter flip: overlays the current runtime values
     /// plus the flip onto a copy of the immutable config, re-validates
     /// through [`Config::validate`], and only then installs the new
@@ -114,7 +40,8 @@ impl GossipSim {
             .validate()
             .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
         if probe.query_rate != self.rt.query_rate {
-            self.workload = QueryWorkload::with_rate(probe.query_rate)
+            self.peers
+                .set_query_rate(probe.query_rate)
                 .map_err(|_| ScenarioError::InvalidParam("bad query rate".into()))?;
         }
         self.rt.query_rate = probe.query_rate;
@@ -134,16 +61,33 @@ impl<T: TraceSink> Intervenable<T> for GossipSim {
     ) -> Result<(), ScenarioError> {
         self.counters.incr("interventions");
         match *action {
-            Intervention::MassJoin { count } => self.mass_join(count, now, ctx),
-            Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
-            Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
-            Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
+            // Newborns take the initial population's path. In-flight
+            // rumors learn about them lazily (their infected vectors
+            // grow at the next round), so they are gossipable at once.
+            Intervention::MassJoin { count } => {
+                for _ in 0..count {
+                    let slot = self.peers.birth(&mut self.rng);
+                    self.active_stamp.push(0);
+                    self.spawn(slot, now, ctx);
                 }
-                self.rt.partition = Some(groups);
             }
+            // Victims die through the normal death path, rebirth
+            // included: the wave's damage is the mass loss of rumor
+            // knowledge. Their originally scheduled deaths go stale.
+            Intervention::MassLeave { count } => {
+                for _ in 0..count {
+                    let slot = self.peers.pick(&mut self.rng);
+                    self.on_death(slot, self.peers.incarnation(slot), now, ctx);
+                }
+            }
+            Intervention::FlashCrowd { queries } => {
+                for _ in 0..queries {
+                    let src = self.peers.pick(&mut self.rng);
+                    self.start_query(src, now, ctx);
+                }
+            }
+            Intervention::ParamFlip(ref param) => self.param_flip(param)?,
+            Intervention::Partition { groups } => self.rt.partition = Some(groups),
             Intervention::Heal => self.rt.partition = None,
         }
         Ok(())

@@ -143,12 +143,7 @@ impl<T: TraceSink> Intervenable<T> for GuessSim {
             Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
             Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
             Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
-                }
-                self.rt.partition = Some(groups);
-            }
+            Intervention::Partition { groups } => self.rt.partition = Some(groups),
             Intervention::Heal => self.rt.partition = None,
         }
         Ok(())

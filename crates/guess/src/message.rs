@@ -1,12 +1,10 @@
-//! GUESS wire messages and probe outcomes.
+//! The GUESS wire payload: the pong every reply carries.
 //!
 //! The protocol has two interaction kinds (§2): maintenance *pings*, which
 //! elicit a [`Pong`], and query *probes*, which elicit a query response
 //! bundled with a pong. Because GUESS runs over UDP, the absence of any
 //! reply within the timeout — whether the target is dead or silently
 //! dropping excess load — looks identical to the sender.
-
-use workload::query::QueryTarget;
 
 use crate::entry::CacheEntry;
 
@@ -27,78 +25,16 @@ impl Pong {
     }
 }
 
-/// A query probe sent to a single target peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryProbe {
-    /// What the querying peer is searching for.
-    pub target: QueryTarget,
-}
-
-/// What the *sender* observes after one probe.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeReply {
-    /// The target processed the query and replied.
-    Answered {
-        /// Results found for the query (0 or 1 under the item model).
-        results: u32,
-        /// The attached pong.
-        pong: Pong,
-    },
-    /// No reply before the timeout: the target is dead...
-    TimedOutDead,
-    /// ...or the target was overloaded and refused the probe. In a real
-    /// deployment a refusal may carry an explicit "back off" notice; with
-    /// plain drops it is indistinguishable from death.
-    Refused,
-}
-
-impl ProbeReply {
-    /// True when the probe reached a live, willing responder.
-    #[must_use]
-    pub fn is_answered(&self) -> bool {
-        matches!(self, ProbeReply::Answered { .. })
-    }
-}
-
-/// A maintenance ping reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PingReply {
-    /// The neighbor is alive and shared some cache entries.
-    Alive(Pong),
-    /// No reply: the neighbor is gone (or refused under overload).
-    TimedOut,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::AddrAllocator;
     use simkit::time::SimTime;
-    use workload::content::ItemId;
 
     #[test]
     fn empty_pong_has_no_entries() {
         assert!(Pong::empty().entries.is_empty());
         assert_eq!(Pong::default(), Pong::empty());
-    }
-
-    #[test]
-    fn answered_predicate() {
-        let answered = ProbeReply::Answered {
-            results: 1,
-            pong: Pong::empty(),
-        };
-        assert!(answered.is_answered());
-        assert!(!ProbeReply::TimedOutDead.is_answered());
-        assert!(!ProbeReply::Refused.is_answered());
-    }
-
-    #[test]
-    fn probe_carries_target() {
-        let p = QueryProbe {
-            target: QueryTarget { item: ItemId(7) },
-        };
-        assert_eq!(p.target.item, ItemId(7));
     }
 
     #[test]

@@ -355,8 +355,9 @@ pub trait Intervenable<T: TraceSink>: Simulation<T> {
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when the action names a knob the
-    /// engine does not have, fails the engine's config re-validation,
-    /// or carries a malformed partition spec.
+    /// engine does not have or fails the engine's config re-validation.
+    /// A partition into fewer than two groups never reaches the engine:
+    /// [`crate::sim::Kernel::run_scenario`] rejects it first.
     fn intervene(
         &mut self,
         now: SimTime,

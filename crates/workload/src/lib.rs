@@ -17,7 +17,9 @@
 //! * [`content::Catalog`] / [`content::PeerLibrary`] — a Zipf item universe
 //!   and per-peer collections;
 //! * [`query::QueryModel`] / [`query::QueryWorkload`] — query targets and
-//!   the bursty Poisson arrival process.
+//!   the bursty Poisson arrival process;
+//! * [`peers::PeerTable`] — the constant-population peer slots the
+//!   forwarding engines build from all of the above.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,9 +27,11 @@
 pub mod content;
 pub mod files;
 pub mod lifetime;
+pub mod peers;
 pub mod query;
 
 pub use content::{Catalog, CatalogParams, ItemId, PeerLibrary};
 pub use files::FileCountModel;
 pub use lifetime::LifetimeModel;
+pub use peers::{PeerEvent, PeerTable};
 pub use query::{QueryModel, QueryTarget, QueryWorkload};

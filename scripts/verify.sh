@@ -75,12 +75,12 @@ EOF
 
 # Bench smoke gate: the quick workload matrix completes under a generous
 # ceiling, emits valid BENCH JSON, and no quick workload's median has
-# regressed by more than 2x against the committed baseline (BENCH_2 —
-# the post-wavefront trajectory point).
+# regressed by more than 2x against the committed baseline (BENCH_4 —
+# its serial quick rows).
 cargo test -q --release -p guess-bench --test bench_smoke -- --ignored
 rm -rf "$out/bench"
 cargo run --release -p guess-bench --bin repro -- bench --quick --iters 3 --out "$out/bench"
-python3 - "$out/bench/BENCH_0.json" BENCH_2.json <<'EOF'
+python3 - "$out/bench/BENCH_0.json" BENCH_4.json <<'EOF'
 import json, sys
 
 def medians(path):
@@ -118,7 +118,7 @@ EOF
 rm -rf "$out/bench-gnutella"
 cargo run --release -p guess-bench --bin repro -- \
     bench --quick --iters 3 --only gnutella-quick --out "$out/bench-gnutella"
-python3 - "$out/bench-gnutella/BENCH_0.json" BENCH_2.json <<'EOF'
+python3 - "$out/bench-gnutella/BENCH_0.json" BENCH_4.json <<'EOF'
 import json, sys
 
 def medians(path):
