@@ -13,14 +13,16 @@
 //! `BENCH_0.json` (pre-optimization), `BENCH_1.json` (post
 //! slab/calendar-queue pass), `BENCH_2.json` (post wavefront-flood
 //! rewrite), `BENCH_3.json` (arena memory layout, first carrying
-//! `bytes_per_peer` and the `guess-1m` row), and `BENCH_4.json` (the
+//! `bytes_per_peer` and the `guess-1m` row), `BENCH_4.json` (the
 //! lane-partitioned parallel kernel, first carrying the `cores` and
 //! `threads` columns and the `--threads` sweep's `<workload>@t<N>`
-//! rows) are committed baselines; the `BENCH_*.json` gitignore pattern
+//! rows), and `BENCH_5.json` (the binary-heap event queue, the same
+//! sweep) are committed baselines; the `BENCH_*.json` gitignore pattern
 //! keeps ad-hoc runs untracked.
-//! `scripts/verify.sh` replays the quick workloads and fails on a >2×
-//! median regression against the committed baseline — both on the
-//! aggregate matrix and per-engine via `--only <workload>`.
+//! `scripts/verify.sh` replays the quick workloads and fails on any
+//! event-count difference or a >2× median regression against the
+//! committed baseline — both on the aggregate matrix and per-engine
+//! via `--only <workload>`.
 
 use std::time::Instant;
 

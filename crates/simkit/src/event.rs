@@ -4,68 +4,15 @@
 //! the same instant pop in the order they were scheduled, which keeps runs
 //! bit-for-bit reproducible regardless of queue internals.
 //!
-//! Events can be cancelled cheaply via the [`EventHandle`] returned at
-//! scheduling time; cancelled events are skipped lazily at pop.
-//!
-//! # Implementation: a calendar queue
-//!
-//! Internally this is a calendar queue (Brown 1988) rather than a binary
-//! heap: a ring of `NSLOTS` time buckets of `BUCKET_WIDTH_SECS` each,
-//! plus an overflow heap for events beyond the ring's horizon. Near-term
-//! scheduling and popping are O(1) amortized instead of O(log n), which
-//! matters because every simulated probe, ping, burst and death passes
-//! through here.
-//!
-//! * An event at absolute time `t` belongs to epoch `⌊t / width⌋` and
-//!   lives in slot `epoch mod NSLOTS`. Each bucket is kept sorted in
-//!   *descending* `(time, seq)` order, so the bucket's earliest event is
-//!   removable with a `Vec::pop`.
-//! * The `cursor` is the epoch of the most recently popped event. All
-//!   live ring events have epochs in `[cursor, cursor + NSLOTS)` — an
-//!   event's epoch can't be below the cursor (it would have popped
-//!   already), and events at or past the horizon wait in the overflow
-//!   heap, migrating into the ring as the cursor advances. A slot
-//!   therefore never holds two *live* epochs at once, so bucket order +
-//!   epoch order reproduce exactly the heap's global `(time, seq)`
-//!   order. Only cancelled events can linger below the cursor; they sort
-//!   first in their bucket and are discarded when met.
-//! * Popping scans forward from the cursor for the first non-empty
-//!   bucket. The scan resumes where time actually is, so total scan work
-//!   over a run is bounded by simulated-time-elapsed / bucket-width,
-//!   independent of the event count.
-//!
-//! The swap is observationally invisible: the pop order is the same
-//! total order as before, `now()`/`len()`/cancel semantics are
-//! unchanged, and no RNG is involved.
+//! Internally it is a plain binary heap over that total order: O(log n)
+//! schedule and pop at any queue depth. There is no cancellation; engines
+//! drop stale events at handling time by checking the incarnation or
+//! address stamp the event carries.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::hash::FxHashSet;
 use crate::time::SimTime;
-
-/// Seconds covered by one calendar bucket. Chosen so typical gaps
-/// between consecutive events (tens of milliseconds to a few seconds in
-/// the paper's workloads) skip at most a handful of buckets.
-const BUCKET_WIDTH_SECS: f64 = 0.25;
-
-/// Buckets in the ring (must be a power of two). With the width above,
-/// the ring spans 1024 simulated seconds; rarer far-future events
-/// (peer deaths drawn from heavy-tailed lifetimes) sit in the overflow
-/// heap until the window reaches them.
-const NSLOTS: usize = 4096;
-const SLOT_MASK: u64 = NSLOTS as u64 - 1;
-
-/// The calendar epoch (bucket index before wrapping) of an instant.
-#[inline]
-fn epoch(at: SimTime) -> u64 {
-    // f64→u64 casts saturate, so absurdly far times stay monotone.
-    (at.as_secs() / BUCKET_WIDTH_SECS) as u64
-}
-
-/// An opaque handle identifying a scheduled event, used for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventHandle(u64);
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -114,23 +61,7 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The calendar ring. Each bucket is sorted descending by
-    /// `(at, seq)`, so its earliest entry pops off the back.
-    ring: Vec<Vec<Scheduled<E>>>,
-    /// Entries physically in the ring, including cancelled ones not yet
-    /// reclaimed. Zero means every remaining event is in `overflow`.
-    ring_count: usize,
-    /// Epoch of the most recently popped event; the ring window is
-    /// `[cursor, cursor + NSLOTS)`.
-    cursor: u64,
-    /// Events at or beyond the ring horizon, ordered like the old heap.
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Seqs scheduled but neither fired nor cancelled — the authority on
-    /// liveness. A stored entry whose seq is absent here was cancelled
-    /// and is reclaimed lazily on pop; a handle whose seq is absent
-    /// refers to an event that already fired (or was already cancelled)
-    /// and cannot be cancelled again.
-    pending: FxHashSet<u64>,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
     popped: u64,
@@ -141,11 +72,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            ring: (0..NSLOTS).map(|_| Vec::new()).collect(),
-            ring_count: 0,
-            cursor: 0,
-            overflow: BinaryHeap::new(),
-            pending: FxHashSet::default(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -165,26 +92,25 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of live (non-cancelled) events still pending.
+    /// Number of events still pending.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len()
     }
 
-    /// Returns true if no live events remain.
+    /// Returns true if no events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
-    /// Schedules `event` at absolute time `at` and returns a cancellation
-    /// handle.
+    /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current clock — scheduling into
     /// the past would silently reorder causality.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -192,125 +118,23 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        let entry = Scheduled { at, seq, event };
-        if epoch(at) < self.cursor + NSLOTS as u64 {
-            self.ring_insert(entry);
-        } else {
-            self.overflow.push(entry);
-        }
-        EventHandle(seq)
+        self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Inserts an entry into its ring bucket, keeping the bucket sorted
-    /// descending by `(at, seq)`.
-    fn ring_insert(&mut self, entry: Scheduled<E>) {
-        let bucket = &mut self.ring[(epoch(entry.at) & SLOT_MASK) as usize];
-        let key = (entry.at, entry.seq);
-        let idx = bucket.partition_point(|s| (s.at, s.seq) > key);
-        bucket.insert(idx, entry);
-        self.ring_count += 1;
-    }
-
-    /// Moves overflow events whose epoch has entered the ring window into
-    /// the ring; cancelled ones are dropped on the way.
-    fn migrate(&mut self) {
-        let horizon = self.cursor + NSLOTS as u64;
-        while let Some(top) = self.overflow.peek() {
-            if epoch(top.at) >= horizon {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry exists");
-            if self.pending.contains(&entry.seq) {
-                self.ring_insert(entry);
-            }
-        }
-    }
-
-    /// Scans the ring window for the slot holding the earliest live
-    /// event, reclaiming cancelled entries met along the way. Returns
-    /// `None` if the scan emptied the ring.
-    fn earliest_live_slot(&mut self) -> Option<usize> {
-        for e in self.cursor..self.cursor + NSLOTS as u64 {
-            let slot = (e & SLOT_MASK) as usize;
-            while let Some(s) = self.ring[slot].last() {
-                if self.pending.contains(&s.seq) {
-                    return Some(slot);
-                }
-                self.ring[slot].pop();
-                self.ring_count -= 1;
-            }
-            if self.ring_count == 0 {
-                break;
-            }
-        }
-        None
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the handle referred to an event that had not yet
-    /// fired or been cancelled; a handle for an event that already fired
-    /// is rejected (`false`) and leaves the queue untouched. Cancellation
-    /// is O(1); the stored slot is reclaimed lazily on pop.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pending.remove(&handle.0)
-    }
-
-    /// Pops the earliest live event, advancing the clock to its timestamp.
+    /// Pops the earliest event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            self.migrate();
-            if self.ring_count == 0 {
-                // Everything lives in the overflow heap, whose top is the
-                // global minimum.
-                let s = self.overflow.pop()?;
-                if !self.pending.remove(&s.seq) {
-                    continue; // cancelled; reclaim lazily
-                }
-                self.now = s.at;
-                self.cursor = epoch(s.at);
-                self.popped += 1;
-                return Some((s.at, s.event));
-            }
-            let Some(slot) = self.earliest_live_slot() else {
-                // Only cancelled entries remained; the ring is now empty.
-                continue;
-            };
-            let s = self.ring[slot].pop().expect("slot holds a live entry");
-            self.ring_count -= 1;
-            self.pending.remove(&s.seq);
-            self.now = s.at;
-            self.cursor = epoch(s.at);
-            self.popped += 1;
-            return Some((s.at, s.event));
-        }
+        let s = self.heap.pop()?;
+        self.now = s.at;
+        self.popped += 1;
+        Some((s.at, s.event))
     }
 
-    /// Peeks at the timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            self.migrate();
-            if self.ring_count == 0 {
-                // Drop leading cancelled entries so the peek is accurate.
-                while let Some(s) = self.overflow.peek() {
-                    if self.pending.contains(&s.seq) {
-                        return Some(s.at);
-                    }
-                    self.overflow.pop();
-                }
-                return None;
-            }
-            match self.earliest_live_slot() {
-                Some(slot) => {
-                    let s = self.ring[slot].last().expect("slot holds a live entry");
-                    return Some(s.at);
-                }
-                None => continue, // cleaning emptied the ring; check overflow
-            }
-        }
+    /// Peeks at the timestamp of the next event without popping it.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.at)
     }
 }
 
@@ -370,268 +194,94 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(1.0), 1);
-        let _h2 = q.schedule(t(2.0), 2);
-        assert!(q.cancel(h1));
-        assert!(!q.cancel(h1), "double cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
-    }
-
-    #[test]
-    fn cancel_of_already_fired_event_is_rejected() {
-        // Regression: the old implementation put the fired seq into the
-        // cancelled set forever, permanently skewing `len()` and letting
-        // `heap.len() - cancelled.len()` underflow.
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(1.0), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-        assert!(!q.cancel(h1), "a fired event cannot be cancelled");
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        // Accounting stays exact for later events.
-        let h2 = q.schedule(t(2.0), 2);
-        assert_eq!(q.len(), 1);
-        assert!(!q.cancel(h1), "still rejected after more scheduling");
-        assert!(q.cancel(h2));
-        assert_eq!(q.len(), 0);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_of_fired_event_never_underflows_len() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1.0), ());
-        q.pop();
-        q.cancel(h); // must not poison the accounting
-        q.cancel(h);
-        assert_eq!(q.len(), 0, "len() would have underflowed before the fix");
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1.0), 1);
-        q.schedule(t(2.0), 2);
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-    }
-
-    #[test]
     fn empty_reporting() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
-        let h = q.schedule(t(1.0), 0);
+        q.schedule(t(1.0), 0);
         assert!(!q.is_empty());
-        q.cancel(h);
+        assert_eq!(q.len(), 1);
+        q.pop();
         assert!(q.is_empty());
     }
 
     // ------------------------------------------------------------------
-    // Calendar-queue internals: overflow migration and window wrap.
+    // Property test: the heap agrees with an independent linear-scan
+    // oracle on randomized schedules, including duplicate instants and
+    // far-future times.
     // ------------------------------------------------------------------
 
-    /// The ring spans `NSLOTS * BUCKET_WIDTH_SECS` seconds.
-    fn horizon_secs() -> f64 {
-        NSLOTS as f64 * BUCKET_WIDTH_SECS
-    }
-
-    #[test]
-    fn far_future_events_pop_in_order() {
-        // Events far beyond the ring horizon start in the overflow heap
-        // and must still pop in exact (time, seq) order.
-        let mut q = EventQueue::new();
-        let far = horizon_secs() * 3.0;
-        q.schedule(t(far + 1.0), 'd');
-        q.schedule(t(0.5), 'a');
-        q.schedule(t(far), 'c');
-        q.schedule(t(1.0), 'b');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
-    }
-
-    #[test]
-    fn overflow_ties_keep_schedule_order() {
-        let mut q = EventQueue::new();
-        let far = horizon_secs() * 2.0;
-        for i in 0..50 {
-            q.schedule(t(far), i);
-        }
-        // Drain: all events migrate from overflow into the ring together.
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancelled_overflow_events_are_skipped() {
-        let mut q = EventQueue::new();
-        let far = horizon_secs() * 2.0;
-        let h = q.schedule(t(far), 1);
-        q.schedule(t(far + 1.0), 2);
-        assert!(q.cancel(h));
-        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn window_slides_as_time_advances() {
-        // March time forward over several full ring wraps, scheduling a
-        // short-gap event after each pop; order and clock must stay exact.
-        let mut q = EventQueue::new();
-        q.schedule(t(0.0), 0u64);
-        let mut hops = 0u64;
-        let gap = horizon_secs() / 3.0 + 0.1; // forces regular slot reuse
-        while let Some((now, k)) = q.pop() {
-            assert_eq!(k, hops);
-            assert_eq!(q.now(), now);
-            hops += 1;
-            if hops < 20 {
-                q.schedule(now + crate::time::SimDuration::from_secs(gap), hops);
-            }
-        }
-        assert_eq!(hops, 20);
-        assert_eq!(q.events_processed(), 20);
-    }
-
-    #[test]
-    fn slot_reuse_across_epochs_keeps_order() {
-        // Two events exactly one ring-span apart share a slot; the
-        // near one must pop first, then the far one (initially overflow).
-        let mut q = EventQueue::new();
-        q.schedule(t(1.0), 'n');
-        q.schedule(t(1.0 + horizon_secs()), 'f');
-        assert_eq!(q.pop().map(|(_, e)| e), Some('n'));
-        assert_eq!(q.pop().map(|(_, e)| e), Some('f'));
-    }
-
-    #[test]
-    fn peek_time_sees_overflow_only_queues() {
-        let mut q = EventQueue::new();
-        let far = horizon_secs() * 2.0;
-        q.schedule(t(far), ());
-        assert_eq!(q.peek_time(), Some(t(far)));
-        assert_eq!(q.pop().map(|(at, ())| at), Some(t(far)));
-    }
-
-    // ------------------------------------------------------------------
-    // Property test: the calendar queue agrees with a reference
-    // BinaryHeap implementation on randomized schedules, including
-    // cancels, duplicate times, and cancel-after-fire.
-    // ------------------------------------------------------------------
-
-    /// The old heap-based queue, reimplemented minimally as the oracle.
-    struct RefQueue {
-        heap: BinaryHeap<Scheduled<u64>>,
-        pending: std::collections::HashSet<u64>,
+    /// The simplest correct queue: an unsorted list whose pop removes the
+    /// first entry with the least `(at, seq)`.
+    #[derive(Default)]
+    struct ScanQueue {
+        entries: Vec<(SimTime, u64, u64)>,
         next_seq: u64,
         now: SimTime,
     }
 
-    impl RefQueue {
-        fn new() -> Self {
-            RefQueue {
-                heap: BinaryHeap::new(),
-                pending: std::collections::HashSet::new(),
-                next_seq: 0,
-                now: SimTime::ZERO,
-            }
-        }
-
-        fn schedule(&mut self, at: SimTime) -> u64 {
-            let seq = self.next_seq;
+    impl ScanQueue {
+        fn schedule(&mut self, at: SimTime, payload: u64) {
+            self.entries.push((at, self.next_seq, payload));
             self.next_seq += 1;
-            self.pending.insert(seq);
-            self.heap.push(Scheduled {
-                at,
-                seq,
-                event: seq,
-            });
-            seq
         }
 
-        fn cancel(&mut self, seq: u64) -> bool {
-            self.pending.remove(&seq)
+        fn first_min(&self) -> Option<usize> {
+            (0..self.entries.len()).min_by_key(|&i| (self.entries[i].0, self.entries[i].1))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.first_min().map(|i| self.entries[i].0)
         }
 
         fn pop(&mut self) -> Option<(SimTime, u64)> {
-            while let Some(s) = self.heap.pop() {
-                if !self.pending.remove(&s.seq) {
-                    continue;
-                }
-                self.now = s.at;
-                return Some((s.at, s.event));
-            }
-            None
+            let (at, _, payload) = self.entries.remove(self.first_min()?);
+            self.now = at;
+            Some((at, payload))
         }
     }
 
     #[test]
-    fn randomized_schedules_match_the_heap_oracle() {
+    fn randomized_schedules_match_the_scan_oracle() {
         use crate::rng::RngStream;
         use crate::time::SimDuration;
 
         for trial in 0..20u64 {
-            let mut rng = RngStream::from_seed(0xCA1E + trial, "calendar-prop");
+            let mut rng = RngStream::from_seed(0xCA1E + trial, "event-queue-prop");
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut oracle = RefQueue::new();
-            // Handles by payload (the oracle's seq == payload by design;
-            // the real queue's handles are tracked side by side).
-            let mut handles: Vec<(u64, EventHandle)> = Vec::new();
+            let mut oracle = ScanQueue::default();
+            let mut payload = 0u64;
+
+            let pop_both = |q: &mut EventQueue<u64>, oracle: &mut ScanQueue| {
+                assert_eq!(q.peek_time(), oracle.peek_time(), "peek (trial {trial})");
+                let got = q.pop();
+                assert_eq!(got, oracle.pop(), "pop (trial {trial})");
+                if let Some((at, _)) = got {
+                    assert_eq!(q.now(), at);
+                }
+                got.is_some()
+            };
 
             for _ in 0..2000 {
-                match rng.below(10) {
+                if rng.below(10) < 6 {
                     // Schedule, biased toward near times, with duplicate
-                    // instants and occasional far-future (overflow) times.
-                    0..=5 => {
-                        let gap = match rng.below(4) {
-                            0 => 0.0, // duplicate of `now`
-                            1 => rng.f64() * 1.0,
-                            2 => rng.f64() * 50.0,
-                            _ => rng.f64() * horizon_secs() * 2.5,
-                        };
-                        let at = oracle.now + SimDuration::from_secs(gap);
-                        let seq = oracle.schedule(at);
-                        let h = q.schedule(at, seq);
-                        handles.push((seq, h));
-                    }
-                    // Cancel a random known handle: maybe live, maybe
-                    // already fired (cancel-after-fire), maybe cancelled.
-                    6..=7 => {
-                        if !handles.is_empty() {
-                            let (seq, h) = handles[rng.below(handles.len())];
-                            assert_eq!(q.cancel(h), oracle.cancel(seq), "cancel({seq})");
-                        }
-                    }
-                    // Pop.
-                    _ => {
-                        let got = q.pop();
-                        let want = oracle.pop();
-                        assert_eq!(got, want, "pop mismatch (trial {trial})");
-                        if let Some((at, _)) = got {
-                            assert_eq!(q.now(), at);
-                        }
-                    }
+                    // instants and occasional far-future times.
+                    let gap = match rng.below(4) {
+                        0 => 0.0, // duplicate of `now`
+                        1 => rng.f64() * 1.0,
+                        2 => rng.f64() * 50.0,
+                        _ => rng.f64() * 2560.0,
+                    };
+                    let at = oracle.now + SimDuration::from_secs(gap);
+                    q.schedule(at, payload);
+                    oracle.schedule(at, payload);
+                    payload += 1;
+                } else {
+                    pop_both(&mut q, &mut oracle);
                 }
-                assert_eq!(q.len(), oracle.pending.len(), "len drift (trial {trial})");
+                assert_eq!(q.len(), oracle.entries.len(), "len drift (trial {trial})");
             }
             // Drain both completely; tails must agree too.
-            loop {
-                let got = q.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want, "drain mismatch (trial {trial})");
-                if got.is_none() {
-                    break;
-                }
-            }
+            while pop_both(&mut q, &mut oracle) {}
             assert!(q.is_empty());
         }
     }

@@ -5,7 +5,7 @@
 //! the workspace's determinism contract: the simulated population is
 //! split into a fixed number of **lanes** — a config knob, independent
 //! of thread count, exactly how `--shard i/m` is seed-addressed — and
-//! each lane owns its own calendar queue, trace sink, and (engine-side)
+//! each lane owns its own event queue, trace sink, and (engine-side)
 //! RNG streams. Lanes execute in **bounded time windows** sized by the
 //! minimum cross-lane event latency (the *lookahead*: a cross-lane
 //! probe RTT, a gossip round interval); within a window lanes share
@@ -58,7 +58,7 @@ struct Boundary<E> {
     event: E,
 }
 
-/// One lane: its own calendar queue, trace sink, and boundary outbox.
+/// One lane: its own event queue, trace sink, and boundary outbox.
 #[derive(Debug)]
 struct LaneState<E, T: TraceSink> {
     queue: EventQueue<KernelEvent<E>>,

@@ -5,8 +5,8 @@
 //!
 //! * [`time`] — virtual clock types ([`SimTime`],
 //!   [`SimDuration`]);
-//! * [`event`] — a deterministic, cancellable [`EventQueue`] (a
-//!   calendar queue: O(1) amortized scheduling);
+//! * [`event`] — a deterministic [`EventQueue`] (a binary heap on
+//!   `(time, sequence)`);
 //! * [`hash`] — a deterministic FxHash-style hasher for hot-path maps
 //!   ([`hash::FxHashMap`], [`hash::FxHashSet`]);
 //! * [`rng`] — seedable, label-split random streams

@@ -49,7 +49,7 @@
 //! assert_eq!(sim.ticks, 11); // t = 0, 1, …, 10
 //! ```
 
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::rng::RngStream;
 use crate::scenario::{Intervenable, Intervention, Scenario, ScenarioError};
 use crate::time::{SimDuration, SimTime};
@@ -163,7 +163,7 @@ impl<L: Lifetimes> ChurnDriver<L> {
     /// Registers a newborn peer: draws its lifetime from the model
     /// (one draw from `rng`, at this exact point in the stream),
     /// schedules `death` at `now + lifetime`, and emits a
-    /// [`TraceRecord::PeerJoin`]. Returns the death event's handle.
+    /// [`TraceRecord::PeerJoin`].
     pub fn spawn<E, T: TraceSink>(
         &self,
         ctx: &mut SimCtx<'_, E, T>,
@@ -171,7 +171,7 @@ impl<L: Lifetimes> ChurnDriver<L> {
         now: SimTime,
         peer: u64,
         death: E,
-    ) -> EventHandle {
+    ) {
         let life = self.lifetimes.sample_lifetime(rng);
         if ctx.tracing() {
             ctx.emit(now, TraceRecord::PeerJoin { peer });
@@ -271,13 +271,8 @@ impl<'a, E, T: TraceSink> SimCtx<'a, E, T> {
     ///
     /// Panics if `at` is earlier than the current clock (the queue's
     /// no-time-travel invariant).
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
-        self.queue.schedule(at, KernelEvent::User(event))
-    }
-
-    /// Cancels a previously scheduled engine event.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.queue.schedule(at, KernelEvent::User(event));
     }
 
     /// The current simulation instant.

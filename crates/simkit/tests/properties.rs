@@ -42,36 +42,6 @@ fn event_queue_pops_in_time_order() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
-#[test]
-fn event_queue_cancellation_is_exact() {
-    let mut gen = RngStream::from_seed(0x12, "cases");
-    for _ in 0..40 {
-        let n = 1 + gen.below(100);
-        let times: Vec<f64> = (0..n).map(|_| gen.uniform(0.0, 1e3)).collect();
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_secs(t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, h) in handles.iter().enumerate() {
-            if gen.chance(0.5) {
-                q.cancel(*h);
-                cancelled.insert(i);
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some((_, e)) = q.pop() {
-            seen.insert(e);
-        }
-        for i in 0..times.len() {
-            assert_eq!(seen.contains(&i), !cancelled.contains(&i));
-        }
-    }
-}
-
 /// Identical (seed, label) pairs generate identical streams; the stream is
 /// insensitive to when it is created.
 #[test]

@@ -59,43 +59,59 @@ cargo test -q --release -p guess-bench --test thread_identity -- --ignored
 rm -rf "$out/bench-threads"
 cargo run --release -p guess-bench --bin repro -- \
     bench --quick --iters 1 --only guess-quick --threads 1,4 --out "$out/bench-threads"
-python3 - "$out/bench-threads/BENCH_0.json" <<'EOF'
+python3 - "$out/bench-threads/BENCH_0.json" BENCH_5.json <<'EOF'
 import json, sys
 
-doc = json.load(open(sys.argv[1]))
-table = next(b for b in doc["blocks"] if b.get("type") == "table")
-cols = table["columns"]
+def table(path):
+    doc = json.load(open(path))
+    return next(b for b in doc["blocks"] if b.get("type") == "table")
+
+fresh, base = table(sys.argv[1]), table(sys.argv[2])
+cols = fresh["columns"]
 for needed in ("workload", "threads", "cores"):
     assert needed in cols, f"{needed} column missing: {cols}"
 w, t = cols.index("workload"), cols.index("threads")
-rows = {row[w]: int(row[t]) for row in table["rows"]}
+rows = {row[w]: int(row[t]) for row in fresh["rows"]}
 assert rows == {"guess-quick": 1, "guess-quick@t4": 4}, f"unexpected rows: {rows}"
 print("bench gate: --threads 1,4 emitted serial and @t4 rows")
+
+# Event counts are deterministic: both rows, the lane-mode one
+# included, must match the committed baseline exactly.
+def events(t):
+    w, e = t["columns"].index("workload"), t["columns"].index("events")
+    return {row[w]: row[e] for row in t["rows"]}
+
+got, want = events(fresh), events(base)
+for name, n in got.items():
+    assert n == want[name], f"{name}: {n} events vs committed {want[name]}"
+print(f"bench gate: event counts match the committed baseline on {sorted(got)}")
 EOF
 
 # Bench smoke gate: the quick workload matrix completes under a generous
-# ceiling, emits valid BENCH JSON, and no quick workload's median has
-# regressed by more than 2x against the committed baseline (BENCH_4 —
-# its serial quick rows).
+# ceiling, emits valid BENCH JSON, every quick workload processes exactly
+# the committed number of events (event counts are deterministic), and
+# no quick workload's median has regressed by more than 2x against the
+# committed baseline (BENCH_5 — its serial quick rows).
 cargo test -q --release -p guess-bench --test bench_smoke -- --ignored
 rm -rf "$out/bench"
 cargo run --release -p guess-bench --bin repro -- bench --quick --iters 3 --out "$out/bench"
-python3 - "$out/bench/BENCH_0.json" BENCH_4.json <<'EOF'
+python3 - "$out/bench/BENCH_0.json" BENCH_5.json <<'EOF'
 import json, sys
 
-def medians(path):
+def rows(path):
     doc = json.load(open(path))
     table = next(b for b in doc["blocks"] if b.get("type") == "table")
     cols = table["columns"]
-    w, m = cols.index("workload"), cols.index("median_s")
-    return {row[w]: row[m] for row in table["rows"]}
+    w, e, m = (cols.index(c) for c in ("workload", "events", "median_s"))
+    return {row[w]: (row[e], row[m]) for row in table["rows"]}
 
-fresh, base = medians(sys.argv[1]), medians(sys.argv[2])
+fresh, base = rows(sys.argv[1]), rows(sys.argv[2])
 bad = []
-for name, got in fresh.items():
-    want = base.get(name)
-    assert want is not None, f"workload {name} missing from committed baseline"
-    print(f"bench gate: {name:<16} committed {want:.4f}s  fresh {got:.4f}s")
+for name, (events, got) in fresh.items():
+    assert name in base, f"workload {name} missing from committed baseline"
+    want_events, want = base[name]
+    assert events == want_events, f"{name}: {events} events vs committed {want_events}"
+    print(f"bench gate: {name:<16} {events} events  committed {want:.4f}s  fresh {got:.4f}s")
     if got > 2.0 * want:
         bad.append(f"{name}: {got:.4f}s vs committed {want:.4f}s (>2x)")
 assert not bad, "bench medians regressed:\n" + "\n".join(bad)
@@ -118,20 +134,21 @@ EOF
 rm -rf "$out/bench-gnutella"
 cargo run --release -p guess-bench --bin repro -- \
     bench --quick --iters 3 --only gnutella-quick --out "$out/bench-gnutella"
-python3 - "$out/bench-gnutella/BENCH_0.json" BENCH_4.json <<'EOF'
+python3 - "$out/bench-gnutella/BENCH_0.json" BENCH_5.json <<'EOF'
 import json, sys
 
-def medians(path):
+def rows(path):
     doc = json.load(open(path))
     table = next(b for b in doc["blocks"] if b.get("type") == "table")
     cols = table["columns"]
-    w, m = cols.index("workload"), cols.index("median_s")
-    return {row[w]: row[m] for row in table["rows"]}
+    w, e, m = (cols.index(c) for c in ("workload", "events", "median_s"))
+    return {row[w]: (row[e], row[m]) for row in table["rows"]}
 
-fresh, base = medians(sys.argv[1]), medians(sys.argv[2])
+fresh, base = rows(sys.argv[1]), rows(sys.argv[2])
 assert set(fresh) == {"gnutella-quick"}, f"--only filter leaked: {sorted(fresh)}"
-got, want = fresh["gnutella-quick"], base["gnutella-quick"]
-print(f"bench gate: gnutella-quick (solo) committed {want:.4f}s  fresh {got:.4f}s")
+(events, got), (want_events, want) = fresh["gnutella-quick"], base["gnutella-quick"]
+print(f"bench gate: gnutella-quick (solo) {events} events  committed {want:.4f}s  fresh {got:.4f}s")
+assert events == want_events, f"gnutella-quick: {events} events vs committed {want_events}"
 assert got <= 2.0 * want, f"gnutella-quick regressed: {got:.4f}s vs {want:.4f}s (>2x)"
 EOF
 
