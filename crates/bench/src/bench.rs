@@ -16,9 +16,11 @@
 //! `bytes_per_peer` and the `guess-1m` row), `BENCH_4.json` (the
 //! lane-partitioned parallel kernel, first carrying the `cores` and
 //! `threads` columns and the `--threads` sweep's `<workload>@t<N>`
-//! rows), and `BENCH_5.json` (the binary-heap event queue, the same
-//! sweep) are committed baselines; the `BENCH_*.json` gitignore pattern
-//! keeps ad-hoc runs untracked.
+//! rows), `BENCH_5.json` (the binary-heap event queue, the same
+//! sweep) and `BENCH_6.json` (lanes as independent queries-off
+//! sub-networks, so only `guess-1m` has `@t<N>` rows) are committed
+//! baselines; the `BENCH_*.json` gitignore pattern keeps ad-hoc runs
+//! untracked.
 //! `scripts/verify.sh` replays the quick workloads and fails on any
 //! event-count difference or a >2× median regression against the
 //! committed baseline — both on the aggregate matrix and per-engine
@@ -58,9 +60,9 @@ pub struct BenchResult {
     /// the engine's large-N memory footprint (see
     /// [`crate::alloc_meter`]).
     pub bytes_per_peer: u64,
-    /// Worker threads this row ran with. `1` is the serial kernel —
+    /// Worker threads this row ran with. `1` is the serial engine —
     /// the path every earlier BENCH generation measured; `> 1` runs
-    /// the lane-partitioned parallel kernel ([`BENCH_LANES`] lanes).
+    /// [`BENCH_LANES`] independent lanes ([`guess::run_lanes`]).
     pub threads: usize,
 }
 
@@ -96,7 +98,7 @@ pub const BENCH_LANES: usize = 8;
 /// One benchmarkable workload: a name plus a closure that runs the
 /// simulation once with a given worker-thread budget and returns the
 /// kernel event count. `threads = 1` is the serial path — the exact
-/// bytes every earlier BENCH generation measured. An engine without a
+/// bytes every earlier BENCH generation measured. A workload without a
 /// lane decomposition returns `None` for `threads > 1`.
 struct Workload {
     name: &'static str,
@@ -123,13 +125,10 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
             engine: "guess",
             scale,
             peers: base_config(scale, BENCH_SEED).system.network_size,
+            // Queries couple every peer: no lane decomposition.
             run: Box::new(move |threads| {
-                let mut cfg = base_config(scale, BENCH_SEED);
-                if threads > 1 {
-                    cfg.run.lanes = BENCH_LANES;
-                }
-                let report = guess::run_lanes(cfg, threads).expect("bench config validates");
-                Some(report.events_processed)
+                let cfg = base_config(scale, BENCH_SEED);
+                (threads == 1).then(|| events_of(cfg.build().expect("bench config validates")))
             }),
         });
         list.push(Workload {
@@ -157,16 +156,14 @@ fn workloads(quick_only: bool) -> Vec<Workload> {
             engine: "gossip",
             scale,
             peers: gossip::Config::default().network_size,
+            // Rumors spread over the whole population: no lane
+            // decomposition.
             run: Box::new(move |threads| {
-                let mut cfg = gossip::Config::default()
+                let cfg = gossip::Config::default()
                     .with_seed(BENCH_SEED)
                     .with_duration(scale.duration())
                     .with_warmup(scale.warmup());
-                if threads > 1 {
-                    cfg = cfg.with_lanes(BENCH_LANES);
-                }
-                let report = gossip::run_lanes(cfg, threads).expect("bench config validates");
-                Some(report.events_processed)
+                (threads == 1).then(|| events_of(cfg.build().expect("bench config validates")))
             }),
         });
     }
@@ -235,9 +232,9 @@ pub fn workload_names(quick_only: bool) -> Vec<&'static str> {
 /// error so typos cannot silently skip a gate). Each workload runs once
 /// per entry of `threads` (`[1]` is the classic serial matrix): the
 /// `1`-thread row keeps the workload's plain name, threaded rows are
-/// suffixed `@t<N>` and run the lane-partitioned kernel with
-/// [`BENCH_LANES`] lanes. Engines without a lane decomposition
-/// (gnutella) skip threaded rows with a note. Prints one progress line
+/// suffixed `@t<N>` and run [`BENCH_LANES`] independent lanes. Only
+/// the queries-off `guess-1m` has a lane decomposition; every other
+/// workload skips threaded rows with a note. Prints one progress line
 /// per row as it completes (the full matrix takes minutes).
 ///
 /// # Errors

@@ -3,9 +3,9 @@
 //! Usage:
 //!
 //! ```text
-//! repro all [--quick] [--jobs N] [--threads N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--threads N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro scenario <name>|all [--quick] [--jobs N] [--threads N] [--metrics-threshold N] [--out <dir>] [--json]
+//! repro all [--quick] [--jobs N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
+//! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
+//! repro scenario <name>|all [--quick] [--jobs N] [--metrics-threshold N] [--out <dir>] [--json]
 //! repro bench [--quick] [--iters N] [--only <workload>]... [--threads N[,N...]] [--out <dir>]
 //! repro --trace <path> [--engine guess|gossip] [--quick]
 //! repro --list
@@ -23,13 +23,11 @@
 //! point carries its own RNG seed, so the reports are byte-identical at
 //! any `--jobs` level; only wall-clock time changes.
 //!
-//! `--threads N` sets the worker-thread budget for the engines'
-//! lane-partitioned parallel kernel (carried on [`Ctx`] like
-//! `--metrics-threshold`). Lane-mode output is a pure function of
-//! `(seed, lanes)`, so any `N` yields the same bytes for the same
-//! config; `repro bench --threads` takes a comma-separated list and
-//! emits one `<workload>@t<N>` row per `N > 1` — the thread-scaling
-//! curve.
+//! `repro bench --threads N[,N...]` takes a comma-separated list and
+//! emits one `<workload>@t<N>` row per `N > 1` for the workloads with a
+//! lane decomposition (the queries-off `guess-1m`): the thread-scaling
+//! curve. Lane-mode output is a pure function of `(seed, lanes)`, so
+//! `N` changes wall-clock only. Experiments and scenarios run serial.
 //!
 //! `--shard i/m` keeps only every `m`-th selected experiment starting
 //! at index `i` — the grid split into `m` independently runnable work
@@ -73,9 +71,8 @@ fn main() {
             println!("  {w}");
         }
         println!(
-            "\nbench --threads N[,N...] repeats guess/gossip workloads on the\n\
-             lane-partitioned parallel kernel ({} lanes) as <workload>@t<N> rows;\n\
-             gnutella has no lane decomposition and keeps its serial row only",
+            "\nbench --threads N[,N...] repeats guess-1m as {} independent queries-off\n\
+             lanes in <workload>@t<N> rows; every other workload keeps its serial row only",
             guess_bench::bench::BENCH_LANES
         );
         return;
@@ -88,6 +85,10 @@ fn main() {
     if args.first().map(String::as_str) == Some("bench") {
         run_bench(&args[1..]);
         return;
+    }
+    if args.iter().any(|a| a == "--threads") {
+        eprintln!("--threads applies to repro bench only");
+        std::process::exit(2);
     }
     if args.first().map(String::as_str) == Some("scenario") {
         run_scenarios(&args[1..], scale);
@@ -145,13 +146,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let threads = match parse_threads(&args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
     let shard: Option<(usize, usize)> = match args.iter().position(|a| a == "--shard") {
         Some(i) => match args.get(i + 1).map(|v| parse_shard(v)) {
             Some(Some(spec)) => Some(spec),
@@ -182,7 +176,6 @@ fn main() {
             || a == "--engine"
             || a == "--shard"
             || a == "--metrics-threshold"
-            || a == "--threads"
         {
             skip_next = true;
         } else if !a.starts_with("--") {
@@ -238,9 +231,7 @@ fn main() {
         }
     }
 
-    let ctx = Ctx::new(scale, jobs)
-        .with_metrics_threshold(metrics_threshold)
-        .with_threads(threads);
+    let ctx = Ctx::new(scale, jobs).with_metrics_threshold(metrics_threshold);
     let overall = Instant::now();
     if ctx.jobs() == 1 {
         // Serial: run and print each experiment in turn, as the original
@@ -454,13 +445,6 @@ fn run_scenarios(args: &[String], scale: Scale) {
             std::process::exit(2);
         }
     };
-    let threads = match parse_threads(args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
     let mut names: Vec<&String> = Vec::new();
     let mut skip_next = false;
     for a in args {
@@ -468,7 +452,7 @@ fn run_scenarios(args: &[String], scale: Scale) {
             skip_next = false;
             continue;
         }
-        if a == "--out" || a == "--jobs" || a == "--metrics-threshold" || a == "--threads" {
+        if a == "--out" || a == "--jobs" || a == "--metrics-threshold" {
             skip_next = true;
         } else if !a.starts_with("--") {
             names.push(a);
@@ -494,9 +478,7 @@ fn run_scenarios(args: &[String], scale: Scale) {
         }
         picked
     };
-    let ctx = Ctx::new(scale, jobs)
-        .with_metrics_threshold(metrics_threshold)
-        .with_threads(threads);
+    let ctx = Ctx::new(scale, jobs).with_metrics_threshold(metrics_threshold);
     let overall = Instant::now();
     for s in &selected {
         let started = Instant::now();
@@ -571,7 +553,7 @@ fn run_traced(path: &Path, scale: Scale) {
     use guess_bench::scale::base_config;
     use guess_bench::tracefile::JsonlSink;
 
-    let mut cfg = base_config(scale, 0x7Ace);
+    let mut cfg = base_config(scale, 0x7ACE);
     // Zero warm-up: the report then covers every query in the trace, so
     // the reconciliation below must match exactly.
     cfg.run.warmup = simkit::time::SimDuration::from_secs(0.0);
@@ -674,7 +656,7 @@ fn run_traced_gossip(path: &Path, scale: Scale) {
     // Zero warm-up (set inside `traced_config`): the report then covers
     // every query in the trace, so the reconciliation below must match
     // exactly.
-    let cfg = gossip_tradeoff::traced_config(scale, 0x7Ace);
+    let cfg = gossip_tradeoff::traced_config(scale, 0x7ACE);
     let sim = match GossipSim::new(cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -772,20 +754,6 @@ fn parse_metrics_threshold(args: &[String]) -> Result<Option<usize>, String> {
     }
 }
 
-/// Parses `--threads N` if present (default 1): the worker-thread
-/// budget for the engines' lane-partitioned parallel kernel, carried on
-/// [`Ctx::threads`]. Lane-mode output is a pure function of
-/// `(seed, lanes)`, so the flag changes wall-clock only, never bytes.
-fn parse_threads(args: &[String]) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n >= 1 => Ok(n),
-            _ => Err("--threads needs a positive integer".to_string()),
-        },
-        None => Ok(1),
-    }
-}
-
 /// Parses the bench form of `--threads`: a comma-separated list of
 /// positive thread counts, e.g. `1,2,4,8`.
 fn parse_threads_list(spec: &str) -> Option<Vec<usize>> {
@@ -810,18 +778,16 @@ fn parse_shard(spec: &str) -> Option<(usize, usize)> {
 fn print_usage() {
     println!(
         "repro — regenerate every table and figure of the ICDCS'04 GUESS paper\n\n\
-         usage:\n  repro all [--quick] [--jobs N] [--threads N] [--shard i/m] [--out <dir>] [--json]\n  \
-         repro <experiment>... [--quick] [--jobs N] [--threads N] [--shard i/m] [--out <dir>] [--json]\n  \
-         repro scenario <name>|all [--quick] [--jobs N] [--threads N] [--out <dir>] [--json]\n  \
+         usage:\n  repro all [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]\n  \
+         repro <experiment>... [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]\n  \
+         repro scenario <name>|all [--quick] [--jobs N] [--out <dir>] [--json]\n  \
          repro bench [--quick] [--iters N] [--only <workload>]... [--threads N[,N...]] [--out <dir>]\n  \
          repro --trace <path> [--engine guess|gossip] [--quick]\n  repro --list\n\n\
          --quick   shrunk grids/durations (shape check, ~1-2 min)\n\
          --jobs N  at most N simulations in flight (default: all cores);\n          \
          reports are byte-identical at any N\n\
-         --threads N  worker threads for the lane-partitioned parallel\n          \
-         kernel; lane-mode output depends only on (seed, lanes), so any\n          \
-         N yields the same bytes. bench takes a list (--threads 1,2,4,8)\n          \
-         and adds one <workload>@t<N> row per N > 1\n\
+         --threads N[,N...]  bench only: adds one <workload>@t<N> row per\n          \
+         N > 1 for workloads with independent lanes (guess-1m)\n\
          --shard i/m  run every m-th selected experiment starting at i;\n          \
          per-shard outputs merge byte-identically to the unsharded run\n\
          --metrics-threshold N  populations above N stride-sample their\n          \

@@ -286,12 +286,11 @@ pub struct RunParams {
     /// Number of slots each sampled snapshot visits once the threshold
     /// is exceeded (clamped to the population size).
     pub metrics_sample_size: usize,
-    /// Lane count for the conservative parallel kernel
-    /// ([`crate::engine::run_lanes`]). `1` (the default) is the serial
-    /// path — byte-identical to every committed golden. With `n > 1`
-    /// the population is split into `n` seed-addressed lanes whose
-    /// output is a pure function of `(seed, lanes)`, independent of how
-    /// many worker threads execute them.
+    /// Lane count for [`crate::engine::run_lanes`]. `1` (the default)
+    /// is the serial engine. With `n > 1` the population is split into
+    /// `n` independent, seed-addressed sub-networks, each a serial run,
+    /// whose merged output is a pure function of `(seed, lanes)`. Lanes
+    /// never exchange events, so `n > 1` requires queries off.
     pub lanes: usize,
 }
 
@@ -362,7 +361,8 @@ pub enum ConfigError {
     /// Push-plane parameters inconsistent: zero fan-out/TTL/interest
     /// cap, or a ping stretch below 1.
     BadPushParams,
-    /// `lanes` was zero, or left fewer than two peers per lane.
+    /// `lanes` was zero, left fewer than two peers per lane, or was
+    /// above one with queries on.
     BadLanes,
 }
 
@@ -396,7 +396,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadPushParams => {
                 "push maintenance needs positive fan-out, ttl and interest cap, ping stretch >= 1"
             }
-            ConfigError::BadLanes => "lanes must be positive and leave at least 2 peers per lane",
+            ConfigError::BadLanes => "lanes must be positive, leave at least 2 peers per lane, and exceed 1 only with queries off",
         };
         f.write_str(s)
     }
@@ -448,7 +448,8 @@ impl Config {
             return Err(ConfigError::ZeroMetricsSample);
         }
         if self.run.lanes == 0
-            || (self.run.lanes > 1 && self.system.network_size / self.run.lanes < 2)
+            || (self.run.lanes > 1
+                && (self.system.network_size / self.run.lanes < 2 || self.run.simulate_queries))
         {
             return Err(ConfigError::BadLanes);
         }
@@ -665,14 +666,6 @@ impl Config {
     pub fn with_metrics_sampling(mut self, threshold: usize, size: usize) -> Self {
         self.run.metrics_sample_threshold = threshold;
         self.run.metrics_sample_size = size;
-        self
-    }
-
-    /// Sets the lane count for the conservative parallel kernel; `1`
-    /// keeps the serial path (see [`RunParams::lanes`]).
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.run.lanes = lanes;
         self
     }
 

@@ -24,7 +24,7 @@ use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink, NO_QUERY};
 use workload::content::{Catalog, LibraryArena, LibraryHandle};
 use workload::files::FileCountModel;
 use workload::lifetime::LifetimeModel;
-use workload::query::{QueryModel, QueryTarget, QueryWorkload};
+use workload::query::{QueryModel, QueryWorkload};
 
 use crate::addr::{AddrAllocator, PeerAddr, SlotId};
 use crate::bad_registry::BadRegistry;
@@ -120,34 +120,6 @@ pub enum Event {
         slot: SlotId,
         addr: PeerAddr,
     },
-    /// Lane mode only: a query from another lane spills over and probes
-    /// one random peer of this lane for `target`. `pending` names the
-    /// parked query in the origin lane's slab. Never scheduled on the
-    /// serial path, so serial runs are byte-identical.
-    RemoteProbe {
-        src_lane: u32,
-        pending: u32,
-        target: QueryTarget,
-    },
-    /// Lane mode only: the answer to a [`Event::RemoteProbe`], routed
-    /// back to the origin lane.
-    RemotePong {
-        pending: u32,
-        outcome: RemoteOutcome,
-    },
-}
-
-/// What a cross-lane spill probe found at its randomly chosen victim.
-/// Lane-resident peers are always alive (deaths rebirth in place), so
-/// there is no `Dead` arm — the serial probe loop's fourth outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoteOutcome {
-    /// The victim's capacity meter dropped the probe.
-    Refused,
-    /// Answered, but the library does not hold the wanted item.
-    NoHit,
-    /// Answered with a result.
-    Hit,
 }
 
 /// A complete GUESS network simulation.
@@ -195,10 +167,6 @@ pub struct GuessSim {
     /// other streams (and reports) are byte-identical with sampling
     /// configured or not.
     rng_metrics: RngStream,
-    /// Drawn from only by the lane runner (spill-lane selection and
-    /// remote victim picks). Serial runs never touch it, so creating the
-    /// stream cannot perturb golden outputs.
-    rng_remote: RngStream,
     metrics: MetricsCollector,
     next_query: u64,
     /// Per-address "last query that considered this address" stamps —
@@ -251,7 +219,6 @@ impl GuessSim {
             rng_policy: RngStream::from_seed(seed, "policy"),
             rng_intro: RngStream::from_seed(seed, "intro"),
             rng_metrics: RngStream::from_seed(seed, "metrics"),
-            rng_remote: RngStream::from_seed(seed, "remote"),
             metrics: MetricsCollector::new(),
             next_query: 0,
             // Pre-sized for the initial population; grows with churn.
@@ -1120,11 +1087,6 @@ impl<T: TraceSink> Simulation<T> for GuessSim {
             Event::Burst { slot, addr } => self.on_burst(slot, addr, now, ctx),
             Event::PushStep { id } => self.on_push_step(id, now, ctx),
             Event::PushFlush { slot, addr } => self.on_push_flush(slot, addr, now, ctx),
-            Event::RemoteProbe { .. } | Event::RemotePong { .. } => {
-                // Intercepted by the lane runner before delegation; a
-                // serial kernel never schedules them.
-                debug_assert!(false, "remote events reached the serial handler");
-            }
         }
     }
 
@@ -1141,14 +1103,16 @@ impl<T: TraceSink> Simulation<T> for GuessSim {
     }
 }
 
-impl Runnable for GuessSim {
-    type Report = RunReport;
-
-    fn run_scenario_traced<T: TraceSink>(
+impl GuessSim {
+    /// Runs `scenario` to the horizon on the serial kernel and returns
+    /// the unfinished metrics (live peers' loads included), the kernel's
+    /// event count and the sink — the body shared by a plain run and one
+    /// lane of [`run_lanes`].
+    fn run_collect<T: TraceSink>(
         mut self,
         scenario: &simkit::scenario::Scenario,
         sink: T,
-    ) -> Result<(RunReport, T), simkit::scenario::ScenarioError> {
+    ) -> Result<(MetricsCollector, u64, T), simkit::scenario::ScenarioError> {
         let params = KernelParams::new(self.cfg.run.duration)
             .with_warmup(self.cfg.run.warmup)
             .with_sampling(self.cfg.run.sample_interval);
@@ -1162,10 +1126,22 @@ impl Runnable for GuessSim {
                 self.metrics.record_load(p.probes_received());
             }
         }
-        let events_processed = kernel.events_processed();
-        let mut report = self.metrics.finish();
+        Ok((self.metrics, kernel.events_processed(), kernel.into_sink()))
+    }
+}
+
+impl Runnable for GuessSim {
+    type Report = RunReport;
+
+    fn run_scenario_traced<T: TraceSink>(
+        self,
+        scenario: &simkit::scenario::Scenario,
+        sink: T,
+    ) -> Result<(RunReport, T), simkit::scenario::ScenarioError> {
+        let (metrics, events_processed, sink) = self.run_collect(scenario, sink)?;
+        let mut report = metrics.finish();
         report.events_processed = events_processed;
-        Ok((report, kernel.into_sink()))
+        Ok((report, sink))
     }
 }
 

@@ -6,26 +6,6 @@
 
 use super::*;
 
-/// The accumulated state of one query's probe loop. The serial path
-/// concludes it immediately; the lane runner ([`super::lanes`]) parks
-/// it while cross-lane probes are in flight and concludes it when the
-/// last remote pong lands, so every field is plain `Copy` data.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct QueryExec {
-    pub(super) qid: u64,
-    /// What the query is looking for — the lane runner re-checks it
-    /// against remote libraries.
-    pub(super) target: QueryTarget,
-    pub(super) selfish: bool,
-    pub(super) desired: u32,
-    pub(super) results: u32,
-    pub(super) good: u32,
-    pub(super) dead: u32,
-    pub(super) refused: u32,
-    /// Wall-clock rounds the local probe loop took.
-    pub(super) rounds: f64,
-}
-
 impl GuessSim {
     /// Marks `addr` as considered by the query with dedup stamp `stamp`;
     /// returns true on the first visit. Addresses allocated mid-query
@@ -52,23 +32,6 @@ impl GuessSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        let ex = self.execute_query_core(prober, now, ctx);
-        let response = ex.rounds.ceil() * self.cfg.protocol.probe_interval.as_secs();
-        let measured = ctx.after_warmup(now);
-        self.conclude_query(&ex, now, response, measured, ctx);
-    }
-
-    /// The probe loop proper: runs the local candidate pool dry (or to
-    /// satisfaction) and returns the accumulated counts *without*
-    /// emitting the `QueryEnd` record or recording metrics — that is
-    /// [`GuessSim::conclude_query`], deferred by the lane runner until
-    /// cross-lane spill probes have answered.
-    pub(super) fn execute_query_core<T: TraceSink>(
-        &mut self,
-        prober: PeerAddr,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) -> QueryExec {
         let qid = self.next_query;
         self.next_query += 1;
         if ctx.tracing() {
@@ -289,52 +252,26 @@ impl GuessSim {
             }
         }
 
-        QueryExec {
-            qid,
-            target: want,
-            selfish,
-            desired,
-            results,
-            good,
-            dead,
-            refused,
-            rounds,
-        }
-    }
-
-    /// Concludes a query: emits the `QueryEnd` record at `now` and, when
-    /// `measured` (the query *started* after warm-up), records the
-    /// outcome. On the serial path this runs in the same event as the
-    /// probe loop, byte-identical to the pre-split code; the lane
-    /// runner calls it from the final remote-pong event instead.
-    pub(super) fn conclude_query<T: TraceSink>(
-        &mut self,
-        ex: &QueryExec,
-        now: SimTime,
-        response_secs: f64,
-        measured: bool,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
         if ctx.tracing() {
             ctx.emit(
                 now,
                 TraceRecord::QueryEnd {
-                    query: ex.qid,
-                    satisfied: ex.results >= ex.desired,
-                    probes: ex.good + ex.dead + ex.refused,
-                    results: ex.results,
+                    query: qid,
+                    satisfied: results >= desired,
+                    probes: good + dead + refused,
+                    results,
                 },
             );
         }
-        if measured {
+        if ctx.after_warmup(now) {
             self.metrics.record_query(QueryOutcome {
-                good_probes: ex.good,
-                dead_probes: ex.dead,
-                refused_probes: ex.refused,
-                satisfied: ex.results >= ex.desired,
-                response_secs,
+                good_probes: good,
+                dead_probes: dead,
+                refused_probes: refused,
+                satisfied: results >= desired,
+                response_secs: rounds.ceil() * probe_gap.as_secs(),
             });
-            if ex.selfish {
+            if selfish {
                 self.metrics.counters_mut().incr("selfish_queries");
             }
         }

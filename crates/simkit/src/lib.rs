@@ -57,7 +57,6 @@
 pub mod dist;
 pub mod event;
 pub mod hash;
-pub mod lanes;
 pub mod rng;
 pub mod scenario;
 pub mod sim;
@@ -66,7 +65,6 @@ pub mod time;
 pub mod trace;
 
 pub use event::EventQueue;
-pub use lanes::{LaneCtx, LaneKernel, LaneSimulation};
 pub use rng::RngStream;
 pub use scenario::{Intervenable, Intervention, Param, Scenario, ScenarioError};
 pub use sim::{ChurnDriver, Kernel, KernelParams, SimCtx, Simulation};

@@ -192,10 +192,9 @@ impl<L: Lifetimes> ChurnDriver<L> {
 /// tick the kernel drives itself, and scenario control events. A
 /// control event carries the generation stamp of its compiled timeline
 /// entry ([`Scenario::compile`]); plain [`Kernel::run`] never schedules
-/// one. Crate-visible so the lane-partitioned kernel
-/// ([`crate::lanes`]) can drive per-lane queues of the same alphabet.
+/// one.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum KernelEvent<E> {
+enum KernelEvent<E> {
     User(E),
     Sample,
     Control(u32),
@@ -250,21 +249,6 @@ pub struct SimCtx<'a, E, T: TraceSink> {
 }
 
 impl<'a, E, T: TraceSink> SimCtx<'a, E, T> {
-    /// Assembles a context over a caller-owned queue — how the
-    /// lane-partitioned kernel ([`crate::lanes`]) hands each lane the
-    /// same engine-facing surface the serial kernel builds internally.
-    pub(crate) fn from_parts(
-        queue: &'a mut EventQueue<KernelEvent<E>>,
-        warmup_end: SimTime,
-        sink: &'a mut T,
-    ) -> Self {
-        SimCtx {
-            queue,
-            warmup_end,
-            sink,
-        }
-    }
-
     /// Schedules an engine event at absolute time `at`.
     ///
     /// # Panics
