@@ -13,7 +13,7 @@ use std::fmt;
 /// Addresses are allocated monotonically by [`AddrAllocator`] and never
 /// reused, so an address held in a stale cache entry always identifies the
 /// same (possibly long-dead) peer. Addresses are 32-bit: a [`CacheEntry`]
-/// (`crate::entry::CacheEntry`) stays 24 bytes and peer tables stay dense
+/// (`crate::entry::CacheEntry`) is 20 bytes and peer tables stay dense
 /// even at 10^6 slots; u32 still leaves room for ~4.3 billion peer
 /// instances over a run's lifetime, far beyond any churn schedule the
 /// simulators can execute.

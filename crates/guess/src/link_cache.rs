@@ -239,8 +239,9 @@ impl CacheHandle {
 /// scenario-flippable parameter), so blocks are uniform `stride`-entry
 /// windows into one contiguous `Vec<CacheEntry>`: allocation is a
 /// free-list pop, death returns the block for the replacement peer, and
-/// a million caches cost exactly `10^6 * stride * 24` bytes with no
-/// per-peer heap blocks or hash indexes.
+/// a million caches cost exactly `10^6 * stride * 20` bytes (a
+/// [`CacheEntry`] is 20 bytes) with no per-peer heap blocks or hash
+/// indexes.
 ///
 /// Semantics are identical to [`LinkCache`] — same entry ordering
 /// (append / swap-remove), same RNG consumption, same [`InsertOutcome`]s

@@ -7,6 +7,14 @@
 //! forever (so stale cache entries still resolve), but its arena blocks
 //! are released at death and recycled by the replacement peer, which is
 //! what keeps long churny runs at a flat bytes-per-peer cost.
+//!
+//! The defence state — the pong-source [`ReputationTracker`] and the
+//! [`ProbeAccount`] — is boxed and allocated on first use. Only the
+//! pong-distrust and payment experiments ever touch it; inline, it would
+//! take 208 of every record's bytes in all other runs too. A record is
+//! 104 bytes.
+
+use std::sync::LazyLock;
 
 use simkit::time::{SimDuration, SimTime};
 use workload::content::LibraryHandle;
@@ -51,9 +59,17 @@ pub struct PeerState {
     probes_received: u64,
     selfish: bool,
     ping_interval: SimDuration,
-    reputation: ReputationTracker,
-    account: Option<ProbeAccount>,
+    reputation: Option<Box<ReputationTracker>>,
+    account: Option<Box<ProbeAccount>>,
 }
+
+// The hot record must stay small: the peer table holds one per address
+// ever born, and at 500k peers every byte here is about 1 MB of heap.
+const _: () = assert!(std::mem::size_of::<PeerState>() <= 112);
+
+/// What [`PeerState::reputation`] reads before the tracker is allocated.
+static FRESH_REPUTATION: LazyLock<ReputationTracker> =
+    LazyLock::new(|| ReputationTracker::new(ReputationParams::default()));
 
 impl PeerState {
     /// Creates a live peer owning the given arena blocks.
@@ -83,7 +99,7 @@ impl PeerState {
             probes_received: 0,
             selfish: false,
             ping_interval: SimDuration::from_secs(30.0),
-            reputation: ReputationTracker::new(ReputationParams::default()),
+            reputation: None,
             account: None,
         }
     }
@@ -110,7 +126,7 @@ impl PeerState {
             probes_received: 0,
             selfish: false,
             ping_interval: SimDuration::from_secs(30.0),
-            reputation: ReputationTracker::new(ReputationParams::default()),
+            reputation: None,
             account: None,
         }
     }
@@ -237,26 +253,29 @@ impl PeerState {
         self.ping_interval = interval;
     }
 
-    /// The peer's pong-source reputation memory.
+    /// The peer's pong-source reputation memory. A peer whose tracker was
+    /// never written reads as a fresh one.
     #[must_use]
     pub fn reputation(&self) -> &ReputationTracker {
-        &self.reputation
+        self.reputation.as_deref().unwrap_or(&FRESH_REPUTATION)
     }
 
-    /// Mutable access to the reputation memory.
+    /// Mutable access to the reputation memory, allocating it on first
+    /// use.
     pub fn reputation_mut(&mut self) -> &mut ReputationTracker {
-        &mut self.reputation
+        self.reputation
+            .get_or_insert_with(|| Box::new(FRESH_REPUTATION.clone()))
     }
 
     /// Opens (or replaces) the peer's probe-credit account.
     pub fn open_account(&mut self, account: ProbeAccount) {
-        self.account = Some(account);
+        self.account = Some(Box::new(account));
     }
 
     /// Mutable access to the probe-credit account, if the payment economy
     /// is enabled.
     pub fn account_mut(&mut self) -> Option<&mut ProbeAccount> {
-        self.account.as_mut()
+        self.account.as_deref_mut()
     }
 }
 
@@ -265,6 +284,8 @@ mod tests {
     use super::*;
     use crate::addr::AddrAllocator;
     use crate::link_cache::CacheArena;
+    use crate::payments::PaymentParams;
+    use crate::reputation::SourceVerdict;
 
     fn peer_in(arena: &mut CacheArena) -> PeerState {
         let mut alloc = AddrAllocator::new();
@@ -348,6 +369,54 @@ mod tests {
         assert!(p.is_selfish());
         p.set_ping_interval(SimDuration::from_secs(12.0));
         assert_eq!(p.ping_interval(), SimDuration::from_secs(12.0));
+    }
+
+    #[test]
+    fn untouched_reputation_reads_fresh() {
+        let p = peer();
+        let mut alloc = AddrAllocator::new();
+        let someone = alloc.allocate();
+        assert_eq!(p.reputation().blacklisted_count(), 0);
+        assert!(!p.reputation().is_blacklisted(someone));
+        assert_eq!(p.reputation().verdict(someone), SourceVerdict::Undecided);
+        assert!(p.reputation.is_none(), "reading allocates nothing");
+    }
+
+    #[test]
+    fn reputation_mut_blacklists_as_before() {
+        let mut p = peer();
+        let mut alloc = AddrAllocator::new();
+        let liar = alloc.allocate();
+        for _ in 0..8 {
+            let fake = alloc.allocate();
+            p.reputation_mut().note_shared(liar, fake);
+            assert_eq!(p.reputation_mut().note_dead(fake), Some(liar));
+        }
+        assert!(p.reputation().is_blacklisted(liar));
+        assert_eq!(p.reputation().blacklisted_count(), 1);
+        // Another peer's tracker is untouched.
+        assert_eq!(peer().reputation().blacklisted_count(), 0);
+    }
+
+    #[test]
+    fn account_round_trips() {
+        let mut p = peer();
+        assert!(p.account_mut().is_none(), "no account until opened");
+        let params = PaymentParams {
+            initial_balance: 1.0,
+            allowance_per_sec: 0.0,
+            ..PaymentParams::default()
+        };
+        p.open_account(ProbeAccount::new(params, SimTime::ZERO));
+        let acct = p.account_mut().expect("account was opened");
+        assert!(acct.pay_probe(SimTime::ZERO).is_ok());
+        assert!(acct.pay_probe(SimTime::ZERO).is_err(), "balance spent");
+        assert!(
+            p.account_mut().unwrap().pay_probe(SimTime::ZERO).is_err(),
+            "the spend persisted in the record"
+        );
+        p.open_account(ProbeAccount::new(params, SimTime::ZERO));
+        assert!(p.account_mut().unwrap().pay_probe(SimTime::ZERO).is_ok());
     }
 
     #[test]
